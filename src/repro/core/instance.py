@@ -71,6 +71,8 @@ class PrefillInstance:
         self.fetch_aborts = 0
         self.name = name
         self.groups: list[PrefillGroup] = []
+        # Bumped on every change to ``groups`` (see load_stamp).
+        self._queue_version = 0
         self.dead = False
         self.scaling: ScalingPolicy = scaling if scaling is not None else TokenLevelScaling()
         self._alloc_retry_delay = tunables.alloc_retry_delay
@@ -112,8 +114,15 @@ class PrefillInstance:
             switch = self.engine.estimate_switch_time(group.spec)
         return execution + switch
 
+    def load_stamp(self) -> tuple:
+        """The scheduler's memo key: queue version plus the engine state
+        :meth:`estimate_group_time` reads (group sizes and models change
+        only with the version; latency models are fixed per engine)."""
+        return (self._queue_version, self.engine.estimate_stamp())
+
     def kick(self) -> None:
-        """Wake the instance loop after new work arrives."""
+        """New work was queued: move the load stamp, wake the loop."""
+        self._queue_version += 1
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
@@ -136,6 +145,7 @@ class PrefillInstance:
             orphans.extend(group.requests)
             group.requests.clear()
         self.groups.clear()
+        self._queue_version += 1
         for gpu in self.engine.gpus:
             gpu.healthy = False
         if self.process.is_alive and self.process.target is not None:
@@ -184,8 +194,10 @@ class _PrefillTask(ContTask):
             group = inst.groups[0]
             if group.exhausted:
                 inst.groups.pop(0)
+                inst._queue_version += 1
                 continue
             request = group.requests.popleft()
+            inst._queue_version += 1
             inst._inflight = request
             self._spec = group.spec
             self._request = request

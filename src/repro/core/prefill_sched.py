@@ -7,6 +7,12 @@ otherwise it opens a new group on the least-loaded prefill instance,
 where load is the estimated time to finish every pending group —
 execution plus the auto-scaling between groups (Appendix A.2).
 
+Placement and SLO admission read that load far more often than a queue
+changes, so :meth:`GroupedPrefillScheduler.estimate_load` memoizes it
+per instance against the instance's :meth:`~PrefillInstanceLike.load_stamp`
+and recomputes the whole sum whenever the stamp moves: a cached load is
+bit-identical to a fresh one.
+
 Batch size on prefill instances is one: prefill time grows ~linearly
 with tokens, so smaller batches cut waiting time without hurting
 throughput and release requests to the decoding phase eagerly.
@@ -69,6 +75,14 @@ class PrefillInstanceLike(Protocol):
         ...
 
     def kick(self) -> None:
+        """Wake the instance loop; called after every queue change the
+        scheduler makes, so it must also move :meth:`load_stamp`."""
+        ...
+
+    def load_stamp(self) -> object:
+        """A value that changes whenever anything the load estimate
+        reads changes: the queue, the resident model, the prefetch
+        state, the host link.  Equal stamps mean an equal load."""
         ...
 
 
@@ -92,6 +106,8 @@ class GroupedPrefillScheduler:
         self.max_group_size = max_group_size
         self.policy = policy if policy is not None else GroupedPrefillDispatch()
         self._tracer = obs.tracer
+        # instance -> (load stamp, load) of its last full estimate.
+        self._loads: dict[PrefillInstanceLike, tuple[object, float]] = {}
         scope = obs.scoped("prefill_sched")
         self._joined_counter = scope.counter("groups_joined")
         self._opened_counter = scope.counter("groups_opened")
@@ -126,10 +142,19 @@ class GroupedPrefillScheduler:
             )
 
     def estimate_load(self, instance: PrefillInstanceLike) -> float:
-        """Time to finish all pending groups: execution + auto-scaling."""
+        """Time to finish all pending groups: execution + auto-scaling.
+
+        Memoized on ``instance.load_stamp()``; any change recomputes the
+        full sum in queue order, never an incremental update.
+        """
+        stamp = instance.load_stamp()
+        cached = self._loads.get(instance)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
         load = 0.0
         previous = instance.current_model()
         for group in instance.groups:
             load += instance.estimate_group_time(group, previous)
             previous = group.spec
+        self._loads[instance] = (stamp, load)
         return load

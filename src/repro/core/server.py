@@ -255,10 +255,12 @@ class AegaeonServer(ServingSystemBase):
             self.decode_scheduler.instances.remove(instance)
         self.instance_failures += 1
         self._failures_counter.inc()
-        self.obs.tracer.instant(
-            "instance_failure", cat="chaos", track="server",
-            instance=name, orphans=len(orphans),
-        )
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "instance_failure", cat="chaos", track="server",
+                instance=name, orphans=len(orphans),
+            )
         if orphans:
             self.env.process(self._requeue_orphans(instance, orphans))
 

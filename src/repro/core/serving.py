@@ -338,13 +338,7 @@ class ServingSystemBase:
         """Record a completed request."""
         self.registry.update(request)
         self._dispose(request, self.finished)
-        self.obs.tracer.instant(
-            "request_finished",
-            cat="lifecycle",
-            track="proxy",
-            request_id=request.request_id,
-            model=request.model,
-        )
+        self._note_instant("request_finished", request)
 
     def note_failed(self, request: Request) -> None:
         """Record a request given up on mid-flight (degraded mode)."""
@@ -352,13 +346,7 @@ class ServingSystemBase:
         self.registry.update(request)
         self._dispose(request, self.failed)
         self._failed_counter.inc()
-        self.obs.tracer.instant(
-            "request_failed",
-            cat="lifecycle",
-            track="proxy",
-            request_id=request.request_id,
-            model=request.model,
-        )
+        self._note_instant("request_failed", request)
 
     def note_rejected(self, request: Request) -> None:
         """Record a request turned away at admission (no live capacity)."""
@@ -366,13 +354,19 @@ class ServingSystemBase:
         self.registry.update(request)
         self._dispose(request, self.rejected)
         self._rejected_counter.inc()
-        self.obs.tracer.instant(
-            "request_rejected",
-            cat="lifecycle",
-            track="proxy",
-            request_id=request.request_id,
-            model=request.model,
-        )
+        self._note_instant("request_rejected", request)
+
+    def _note_instant(self, name: str, request: Request) -> None:
+        # Guarded so the obs-off path builds no kwargs dict per request.
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.instant(
+                name,
+                cat="lifecycle",
+                track="proxy",
+                request_id=request.request_id,
+                model=request.model,
+            )
 
     @property
     def accounted(self) -> int:

@@ -204,6 +204,19 @@ class AegaeonEngine:
             return 0.05
         return self.base_switch_time(spec)
 
+    def estimate_stamp(self) -> tuple:
+        """Everything :meth:`estimate_switch_time` reads that can change.
+
+        The resident model, the in-flight prefetch and whether it has
+        landed (which flips with sim time, not with any call here), and
+        the host link's bandwidth (chaos throttles it).  Equal stamps
+        mean equal estimates for every ``spec``; a new input to the
+        estimate must be added here.
+        """
+        prefetched = self._prefetched
+        ready = prefetched is not None and self._prefetch_ready(prefetched[0])
+        return (self.current_model, prefetched, ready, self.link.bandwidth)
+
     # -- prefetch ------------------------------------------------------------
     def prefetch(self, spec: ModelSpec) -> bool:
         """Begin loading ``spec`` behind the running model.

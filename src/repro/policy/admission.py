@@ -73,10 +73,12 @@ class SloAwareAdmission:
         if pressure <= budget:
             return None
         self.shed += 1
-        policy_event(
-            system.obs.tracer, "admission",
-            decision="shed", request_id=request.request_id,
-            model=request.model, pressure=round(pressure, 6),
-            budget=round(budget, 6),
-        )
+        tracer = system.obs.tracer
+        if tracer is not None and tracer.enabled:
+            policy_event(
+                tracer, "admission",
+                decision="shed", request_id=request.request_id,
+                model=request.model, pressure=round(pressure, 6),
+                budget=round(budget, 6),
+            )
         return "queue_pressure"

@@ -55,6 +55,10 @@ class FakePrefillInstance:
     def kick(self):
         self.kicks += 1
 
+    def load_stamp(self):
+        # Tests edit ``groups`` directly, so stamp the queue by content.
+        return self._current, [(g.spec.name, len(g.requests)) for g in self.groups]
+
 
 class TestGroupedPrefillScheduler:
     def test_joins_existing_group(self):
