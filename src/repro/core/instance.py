@@ -45,9 +45,6 @@ __all__ = ["PrefillInstance", "DecodeInstance"]
 # arithmetically; the chunk size bounds how stale the batch composition
 # can get (finished/grown requests are reconciled at chunk boundaries).
 DECODE_CHUNK_STEPS = 16
-# Retry pacing for transient KV-cache pressure.  Canonically
-# ``Tunables.alloc_retry_delay``; alias kept for old imports.
-ALLOC_RETRY_DELAY = DEFAULT_TUNABLES.alloc_retry_delay
 
 
 class PrefillInstance:

@@ -6,19 +6,19 @@ speaks the same :class:`ServingSystem` protocol: ``prepare`` /
 ``dispatch`` / ``serve`` / ``collect`` / ``scale_records``.  The shared
 plumbing (trace replay through the proxy layer, completion tracking,
 drain watchdog, result collection, observability attachment) lives in
-:class:`ServingSystemBase`; :func:`build_system` constructs any
+:class:`ServingSystemBase`; a :class:`SystemSpec` constructs any
 registered system by name from its config dataclass, so benchmarks,
 examples, and the observability layer attach to all of them uniformly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Protocol, runtime_checkable
 
 from ..engine.engine import AegaeonEngine, ScaleRecord
 from ..engine.request import Phase, Request
+from ..envkeys import BUILD_KEYS, RUN_KEYS, read_env, warn_unknown_env_keys
 from ..hardware.cluster import Cluster
 from ..hardware.gpu import H800
 from ..obs import NULL_OBS, ObsConfig, Observability
@@ -164,7 +164,7 @@ class ServingSystemBase:
         self._rejected_counter = scope.counter("requests_rejected")
         # REPRO_INVARIANTS=1 turns on continuous invariant checking for
         # every run without touching call sites (used suite-wide in CI).
-        if os.environ.get("REPRO_INVARIANTS"):
+        if read_env(BUILD_KEYS).get("invariants"):
             self.attach_invariants()
         if self.obs.enabled:
             metrics = self.obs.metrics
@@ -489,39 +489,40 @@ class UnifiedConfig(SystemConfig):
     model_cache_bytes: int = 640 * GiB
 
 
+def _system_key(name: str) -> str:
+    """The registry key for a system name (case- and alias-insensitive)."""
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in _BUILDERS:
+        raise ValueError(
+            f"unknown serving system {name!r}; known: {available_systems()}"
+        )
+    return key
+
+
 def _default_config(name: str):
     """The config dataclass a system gets when none is supplied."""
-    key = _ALIASES.get(name.strip().lower(), name.strip().lower())
+    key = _system_key(name)
     if key == "aegaeon":
         from .server import AegaeonConfig
 
         return AegaeonConfig()
-    if key == "serverless-llm":
-        return ServerlessLLMConfig()
-    if key == "serverless-llm+":
-        return ServerlessLLMConfig(sjf=True)
+    if key.startswith("serverless-llm"):
+        return ServerlessLLMConfig(sjf=key.endswith("+"))
     if key == "muxserve":
         return MuxServeConfig()
-    if key == "unified-prefill-first":
-        return UnifiedConfig(policy="prefill_first")
-    if key == "unified-decode-first":
-        return UnifiedConfig(policy="decode_first")
-    raise ValueError(
-        f"unknown serving system {name!r}; known: {available_systems()}"
-    )
+    return UnifiedConfig(policy=_UNIFIED_POLICIES[key])
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Declarative recipe for one serving system.
 
-    Consolidates what used to be loose :func:`build_system` keyword
-    arguments — cluster preset, policy bundle, observability level, and
-    chaos attachments — into one value that can be stored, compared,
-    and replicated across fleet shards.  This is the canonical
-    constructor path: ``build_system(spec)`` (or ``spec.build(env)``)
-    replaces the old positional ``build_system(name, env, config, ...)``
-    form, which now warns once per call site.
+    Names the system, its config, cluster preset, policy bundle,
+    observability level, and chaos attachments in one value that can be
+    stored, compared, and replicated across fleet shards.
+    ``spec.build(env)`` (or ``build_system(spec, env)``) is the only
+    constructor path.
     """
 
     system: str = "aegaeon"
@@ -553,23 +554,19 @@ class SystemSpec:
     def build(self, env: Optional[Environment] = None) -> "ServingSystem":
         """Construct the system this spec describes (fresh clock if
         ``env`` is omitted)."""
-        return _build_system(
-            self.system,
-            env if env is not None else Environment(),
-            self.resolve_config(),
-            faults=self.faults,
-            invariants=self.invariants,
-        )
+        builder = _BUILDERS[_system_key(self.system)]
+        env = env if env is not None else Environment()
+        system = builder(env, self.resolve_config())
+        if self.faults is not None:
+            system.attach_faults(self.faults)
+        if self.invariants:
+            system.attach_invariants()
+        return system
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Run-level knobs shared by the benchmark harness and CI smoke runs.
-
-    This is the single home of the ``REPRO_BENCH_*`` environment
-    handling that used to be scattered through ``benchmarks/_common.py``,
-    with the observability level (``REPRO_OBS``) hanging off it.
-    """
+    """Run-level knobs shared by the benchmark harness and CI smoke runs."""
 
     horizon: float = 150.0
     scale: float = 1.0
@@ -584,44 +581,25 @@ class RunSettings:
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "RunSettings":
         """Resolve settings from ``REPRO_BENCH_{HORIZON,SCALE,SEED}``,
-        ``REPRO_OBS``, ``REPRO_POLICIES``, and ``REPRO_TUNE_*``.
-
-        The full ``REPRO_*`` surface lives in :mod:`repro.envkeys` (one
-        registry shared with ``FleetConfig.from_env``, which consumes
-        the ``REPRO_FLEET_*`` family); any unrecognized ``REPRO_*`` key
-        draws a :class:`RuntimeWarning` naming the nearest valid key — a
-        typo'd knob silently doing nothing is worse than noise.
+        ``REPRO_OBS``, ``REPRO_POLICIES``, and ``REPRO_TUNE_*``, read
+        through :mod:`repro.envkeys`; any unrecognized ``REPRO_*`` key
+        draws a :class:`RuntimeWarning` naming the nearest valid key.
         """
-        from ..envkeys import warn_unknown_env_keys
-
-        environ = os.environ if environ is None else environ
         warn_unknown_env_keys(environ)
-        defaults = cls()
-        policies = environ.get("REPRO_POLICIES", "").strip() or None
-        return cls(
-            horizon=float(environ.get("REPRO_BENCH_HORIZON", defaults.horizon)),
-            scale=float(environ.get("REPRO_BENCH_SCALE", defaults.scale)),
-            seed=int(environ.get("REPRO_BENCH_SEED", defaults.seed)),
-            obs=ObsConfig.from_env(environ),
-            policies=policies,
-            tunables=Tunables.from_env(environ),
-        )
+        return cls(**read_env(RUN_KEYS, environ), tunables=Tunables.from_env(environ))
 
 
 # -- factory -----------------------------------------------------------------
-def _build_aegaeon(env: Environment, config, policies):
-    from .server import AegaeonConfig, AegaeonServer
+# Each builder takes the spec's resolved config (never None).
+def _build_aegaeon(env: Environment, config):
+    from .server import AegaeonServer
 
-    config = config if config is not None else AegaeonConfig()
-    return AegaeonServer(
-        env, resolve_cluster(config.cluster, env), config, policies=policies
-    )
+    return AegaeonServer(env, resolve_cluster(config.cluster, env), config)
 
 
-def _build_serverless(env: Environment, config, policies):
+def _build_serverless(env: Environment, config):
     from ..baselines.serverless_llm import ServerlessLLM, ServerlessLLMPlus
 
-    config = config if config is not None else ServerlessLLMConfig()
     cls = ServerlessLLMPlus if config.sjf else ServerlessLLM
     return cls(
         env,
@@ -632,19 +610,17 @@ def _build_serverless(env: Environment, config, policies):
         max_batch_size=config.max_batch_size,
         model_cache_bytes=config.model_cache_bytes,
         obs=config.obs,
-        policies=policies,
+        policies=config.policies,
     )
 
 
-def _build_serverless_plus(env: Environment, config, policies):
-    config = config if config is not None else ServerlessLLMConfig()
-    return _build_serverless(env, replace(config, sjf=True), policies)
+def _build_serverless_plus(env: Environment, config):
+    return _build_serverless(env, replace(config, sjf=True))
 
 
-def _build_muxserve(env: Environment, config, policies):
+def _build_muxserve(env: Environment, config):
     from ..baselines.muxserve import MuxServe
 
-    config = config if config is not None else MuxServeConfig()
     return MuxServe(
         env,
         resolve_cluster(config.cluster, env),
@@ -652,15 +628,14 @@ def _build_muxserve(env: Environment, config, policies):
         slo=config.slo,
         max_batch_size=config.max_batch_size,
         obs=config.obs,
-        policies=policies,
+        policies=config.policies,
     )
 
 
 def _build_unified(policy: str):
-    def build(env: Environment, config, policies):
+    def build(env: Environment, config):
         from .unified import UnifiedServer
 
-        config = config if config is not None else UnifiedConfig(policy=policy)
         return UnifiedServer(
             env,
             resolve_cluster(config.cluster, env),
@@ -668,19 +643,23 @@ def _build_unified(policy: str):
             slo=config.slo,
             model_cache_bytes=config.model_cache_bytes,
             obs=config.obs,
-            policies=policies,
+            policies=config.policies,
         )
 
     return build
 
 
-_BUILDERS: dict[str, Callable[[Environment, object, object], "ServingSystem"]] = {
+_UNIFIED_POLICIES = {
+    "unified-prefill-first": "prefill_first",
+    "unified-decode-first": "decode_first",
+}
+
+_BUILDERS: dict[str, Callable[[Environment, object], "ServingSystem"]] = {
     "aegaeon": _build_aegaeon,
     "serverless-llm": _build_serverless,
     "serverless-llm+": _build_serverless_plus,
     "muxserve": _build_muxserve,
-    "unified-prefill-first": _build_unified("prefill_first"),
-    "unified-decode-first": _build_unified("decode_first"),
+    **{name: _build_unified(policy) for name, policy in _UNIFIED_POLICIES.items()},
 }
 
 _ALIASES = {
@@ -690,87 +669,20 @@ _ALIASES = {
 
 
 def available_systems() -> list[str]:
-    """Names accepted by :func:`build_system`."""
+    """Names accepted by :class:`SystemSpec` (and so :func:`build_system`)."""
     return sorted(_BUILDERS)
 
 
-def _build_system(
-    name: str,
-    env: Environment,
-    config=None,
-    *,
-    policies: Optional[PolicyBundle | str] = None,
-    faults=None,
-    invariants: bool = False,
-) -> "ServingSystem":
-    """The factory proper (no deprecation machinery): name + config in,
-    system out.  :meth:`SystemSpec.build` and the legacy keyword shim
-    both land here."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    try:
-        builder = _BUILDERS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown serving system {name!r}; known: {available_systems()}"
-        ) from None
-    if policies is None:
-        policies = getattr(config, "policies", None)
-    system = builder(env, config, policies)
-    if faults is not None:
-        system.attach_faults(faults)
-    if invariants:
-        system.attach_invariants()
-    return system
-
-
-def build_system(
-    spec: "SystemSpec | str",
-    env: Optional[Environment] = None,
-    config=None,
-    *,
-    policies: Optional[PolicyBundle | str] = None,
-    faults=None,
-    invariants: bool = False,
-) -> "ServingSystem":
+def build_system(spec: SystemSpec, env: Optional[Environment] = None) -> "ServingSystem":
     """Construct a serving system from a :class:`SystemSpec`.
 
-    ``build_system(spec)`` (optionally with an ``env`` to share a clock)
-    and ``build_fleet(FleetConfig(...))`` are the two blessed
-    constructor paths — a spec is one storable, comparable value naming
-    the system, config, cluster, policy bundle, observability level,
-    and chaos attachments.
-
-    The loose keyword form ``build_system("aegaeon", env, config,
-    policies=..., faults=..., invariants=...)`` still works but is
-    deprecated: it warns once per call site and will be removed a
-    release after the in-repo callers are gone.  Migrate with::
-
-        build_system(SystemSpec(system="aegaeon", config=config,
-                                policies=..., faults=..., invariants=...),
-                     env)
+    Shorthand for ``spec.build(env)``: ``build_system(spec)`` (optionally
+    with an ``env`` to share a clock) and ``build_fleet(FleetConfig(...))``
+    are the two constructor paths.
     """
-    if isinstance(spec, SystemSpec):
-        if config is not None or policies is not None or faults is not None or invariants:
-            raise TypeError(
-                "build_system(spec) takes no loose keywords; put config/"
-                "policies/faults/invariants on the SystemSpec itself"
-            )
-        return spec.build(env)
-    from .._compat import warn_deprecated
-
-    warn_deprecated(
-        "build_system(name, env, config, ...) is deprecated; pass a "
-        "SystemSpec — build_system(SystemSpec(system=name, config=config, "
-        "...), env)"
-    )
-    if env is None:
-        raise TypeError("the legacy build_system(name, ...) form requires env")
-    return _build_system(
-        spec,
-        env,
-        config,
-        policies=policies,
-        faults=faults,
-        invariants=invariants,
-    )
+    if not isinstance(spec, SystemSpec):
+        raise TypeError(
+            f"build_system() takes a SystemSpec, got {type(spec).__name__}; "
+            f"use build_system(SystemSpec(system=..., config=...), env)"
+        )
+    return spec.build(env)

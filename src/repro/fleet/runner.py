@@ -20,12 +20,11 @@ each shard's own metric snapshot.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..core.serving import SystemSpec
-from ..envkeys import warn_unknown_env_keys
+from ..envkeys import FLEET_KEYS, read_env, warn_unknown_env_keys
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MARKET_HOURLY_USD
 from ..sim import ContTask, Environment, Event
@@ -80,29 +79,26 @@ class FleetConfig:
         Recognized keys: ``REPRO_FLEET_SHARDS``,
         ``REPRO_FLEET_VIRTUAL_NODES``, ``REPRO_FLEET_CONTROLLER``
         (``static``/``forecast``/``off``), ``REPRO_FLEET_TICK``,
-        ``REPRO_FLEET_SPILL_HOPS``.  Explicit ``overrides`` win over the
-        environment; unrecognized ``REPRO_*`` keys warn with the nearest
-        valid key.
+        ``REPRO_FLEET_SPILL_HOPS`` (the last two need a controller).
+        Explicit ``overrides`` win over the environment; unrecognized
+        ``REPRO_*`` keys warn with the nearest valid key.
         """
-        environ = os.environ if environ is None else environ
         warn_unknown_env_keys(environ)
-        kwargs: dict[str, object] = {}
-        if "REPRO_FLEET_SHARDS" in environ:
-            kwargs["shards"] = int(environ["REPRO_FLEET_SHARDS"])
-        if "REPRO_FLEET_VIRTUAL_NODES" in environ:
-            kwargs["virtual_nodes"] = int(environ["REPRO_FLEET_VIRTUAL_NODES"])
-        policy = environ.get("REPRO_FLEET_CONTROLLER", "").strip().lower()
-        if policy and policy != "off":
-            controller_kwargs: dict[str, object] = {"policy": policy}
-            if "REPRO_FLEET_TICK" in environ:
-                controller_kwargs["tick"] = float(environ["REPRO_FLEET_TICK"])
-            if "REPRO_FLEET_SPILL_HOPS" in environ:
-                controller_kwargs["max_spill_hops"] = int(
-                    environ["REPRO_FLEET_SPILL_HOPS"]
-                )
-            kwargs["controller"] = ControllerConfig(**controller_kwargs)
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        values = read_env(FLEET_KEYS, environ)
+        policy = values.pop("controller", None)
+        knobs = {
+            name: values.pop(name)
+            for name in ("tick", "max_spill_hops")
+            if name in values
+        }
+        if policy is not None:
+            values["controller"] = ControllerConfig(policy=policy, **knobs)
+        elif knobs:
+            raise ValueError(
+                "REPRO_FLEET_TICK and REPRO_FLEET_SPILL_HOPS need "
+                "REPRO_FLEET_CONTROLLER (static or forecast)"
+            )
+        return cls(**{**values, **overrides})
 
 
 @dataclass

@@ -8,23 +8,10 @@ Chrome ``trace_event`` timeline viewer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 __all__ = ["ObsConfig"]
-
-# Environment variable selecting the observability level for runs built
-# through ``RunSettings.from_env()`` (benchmarks, CI smoke runs).
-OBS_ENV_VAR = "REPRO_OBS"
-
-_LEVELS = {
-    "": (False, False),
-    "off": (False, False),
-    "metrics": (True, False),
-    "trace": (True, True),
-    "full": (True, True),
-}
 
 
 @dataclass(frozen=True)
@@ -57,12 +44,8 @@ class ObsConfig:
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "ObsConfig":
-        """Resolve the level from ``REPRO_OBS`` (off | metrics | trace)."""
-        environ = os.environ if environ is None else environ
-        level = environ.get(OBS_ENV_VAR, "").strip().lower()
-        if level not in _LEVELS:
-            raise ValueError(
-                f"{OBS_ENV_VAR}={level!r} not one of {sorted(k for k in _LEVELS if k)}"
-            )
-        metrics, full_trace = _LEVELS[level]
-        return cls(metrics=metrics, full_trace=full_trace)
+        """Resolve the level from ``REPRO_OBS`` (off | metrics | full);
+        the level table lives in :mod:`repro.envkeys`."""
+        from ..envkeys import OBS_KEYS, read_env
+
+        return read_env(OBS_KEYS, environ).get("obs", cls())

@@ -181,7 +181,7 @@ class PolicyBundle:
 
     name: str
     #: The serving topology this bundle steers by default — a
-    #: :func:`repro.core.build_system` name.
+    #: :class:`repro.core.SystemSpec` system name.
     system: str
     admission: AdmissionPolicy
     dispatch: DispatchPolicy

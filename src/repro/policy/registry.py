@@ -8,7 +8,7 @@ byte, and the two non-default bundles (``aegaeon-slo-admission``,
 decision point.
 
 Select a bundle by name through :func:`get_bundle`,
-``build_system(..., policies="name")``, or the ``REPRO_POLICIES``
+``SystemSpec(policies="name")``, or the ``REPRO_POLICIES``
 environment variable via :meth:`repro.core.RunSettings.from_env`.
 """
 

@@ -8,18 +8,16 @@ retry pacing in ``core/instance.py``, and the checkpoint-fetch
 retry/backoff parameters in ``transfer/loader.py``.  They are now fields
 of one frozen :class:`Tunables` dataclass carried by every
 :class:`~repro.policy.PolicyBundle` and resolvable from the environment
-through :meth:`Tunables.from_env` (wired into
-:meth:`repro.core.RunSettings.from_env`).
+through :meth:`Tunables.from_env` (the ``REPRO_TUNE_*`` family of
+:mod:`repro.envkeys`, wired into :meth:`repro.core.RunSettings.from_env`).
 
-The defaults reproduce the paper's published settings exactly; the old
-module-level names survive as aliases of these fields so existing
-imports keep working.
+The defaults reproduce the paper's published settings exactly;
+``QMAX`` and ``MAX_GPSIZE`` survive as aliases of their fields.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 __all__ = ["Tunables", "DEFAULT_TUNABLES"]
@@ -82,14 +80,9 @@ class Tunables:
         Example: ``REPRO_TUNE_QMAX=2.0 REPRO_TUNE_MAX_PREFILL_GROUP=4``.
         Unset fields keep their paper defaults.
         """
-        environ = os.environ if environ is None else environ
-        overrides = {}
-        for spec in fields(cls):
-            raw = environ.get(f"REPRO_TUNE_{spec.name.upper()}")
-            if raw is not None:
-                cast = int if spec.type in (int, "int") else float
-                overrides[spec.name] = cast(raw)
-        return cls(**overrides)
+        from ..envkeys import TUNE_KEYS, read_env
+
+        return cls(**read_env(TUNE_KEYS, environ))
 
 
 DEFAULT_TUNABLES = Tunables()

@@ -19,19 +19,19 @@ Hot-path engineering (see DESIGN.md "Performance notes")
 --------------------------------------------------------
 * **Batched same-timestamp dispatch.**  The run loop drains every heap
   entry sharing the front timestamp into a FIFO tick batch in one pass,
-  then dispatches from the batch without further heap traffic.  Events
-  scheduled *for the current instant while the batch is live* (zero-delay
-  triggers, process init events, immediate-resume relays) are appended to
-  the batch directly and never touch the heap at all.  Because the batch
-  is drained in heap (``(time, seq)``) order and every in-tick append has
-  a later logical sequence than everything already in the batch, the
-  global firing order is byte-identical to a pure-heap kernel.  See
-  DESIGN.md for the ordering rules new event sources must follow.
+  then dispatches from the batch before it pops the heap again.  Events
+  scheduled while the batch is live (zero-delay triggers, process init
+  events, immediate-resume relays) are pushed onto the heap like any
+  other; those at the current instant carry a larger sequence number
+  than everything already in the batch, so they fire after it, in
+  ``(time, seq)`` order.  The global firing order is therefore
+  byte-identical to a pure-heap kernel.  See DESIGN.md for the ordering
+  rules new event sources must follow.
 * **Single-waiter fast path.**  The common case — exactly one process
   waiting on an event — stores the waiting process in the event's
   ``_waiter`` slot instead of materializing a callbacks-list entry, and
-  the run loop resumes the generator inline (no bound-method dispatch).
-  The callbacks list is still there for multi-waiter events, conditions,
+  the run loop calls :meth:`Process._resume` on it directly.  The
+  callbacks list is still there for multi-waiter events, conditions,
   and external subscribers; the waiter always fires first because it is
   only installed when the callbacks list is empty (earliest attachment).
 * **Callback continuations.**  Two first-class alternatives to
@@ -114,10 +114,6 @@ _PROCESSED = 2  # callbacks have run
 # Per-class freelist size cap; beyond this, objects fall back to the GC.
 _POOL_CAP = 4096
 
-# Sentinel distinguishing "generator terminated" from a yielded None
-# (which must surface as a SimulationError) in the inlined resume path.
-_DONE = object()
-
 # Processed marker, stored in the ``_waiter`` slot when an event is
 # dispatched.  Folding "has been processed" into the slot the dispatcher
 # must touch anyway saves a per-event state store on the hot path; the
@@ -157,7 +153,7 @@ class Event:
         # Lazy cancellation: dead heap entries are dropped at pop time.
         self._cancelled = False
         # Single-waiter fast path: the first process to wait on a
-        # callback-free event parks here and is resumed inline by the
+        # callback-free event parks here and is resumed directly by the
         # run loop.  Always fires before the callbacks list.
         self._waiter: Optional[Process] = None
 
@@ -230,10 +226,10 @@ class Event:
     def _fire(self) -> None:
         """Mark processed and run the waiter plus any listed callbacks.
 
-        Generic (non-inlined) dispatch, used by :meth:`Environment.step`
-        and anything else outside the run loop.  The ``_waiter`` process
-        resumes first — it is only ever installed when the callbacks list
-        is empty, so waiter-then-list is exactly attachment order.
+        Dispatch outside the run loop, used by :meth:`Environment.step`.
+        The ``_waiter`` process resumes first — it is only ever installed
+        when the callbacks list is empty, so waiter-then-list is exactly
+        attachment order.
         """
         waiter = self._waiter
         self._waiter = _FIRED
@@ -248,9 +244,6 @@ class Event:
                 callback(self)
             callbacks.clear()
             self.callbacks = callbacks
-
-    # Backwards-compatible alias (pre-batching name).
-    _run_callbacks = _fire
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -370,6 +363,15 @@ class Process(Event):
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Resume on ``event``, then park on the next event waited on.
+
+        The one copy of the single-waiter protocol, used by the run loop,
+        :meth:`Event._fire` and multi-waiter callbacks alike: send the
+        value (or throw the failure), then become the next event's
+        ``_waiter`` if it has no callbacks, join its callbacks if it has,
+        or relay an already-processed event's outcome through a fresh
+        event at the current instant.
+        """
         env = self.env
         env._active_process = self
         try:
@@ -432,10 +434,10 @@ class ContTask(Process):
     * raise :class:`StopIteration` (optionally with a value) to
       terminate the task, succeeding it like a returning generator.
 
-    The run loop cannot tell a ContTask from a generator process: the
-    ``_send`` slot it dispatches through is simply a bound state method,
-    and the ``_generator`` slot points back at the task so failed waits
-    arrive via :meth:`throw`.  Construction schedules the same init
+    :meth:`Process._resume` cannot tell a ContTask from a generator
+    process: the ``_send`` slot it dispatches through is simply a bound
+    state method, and the ``_generator`` slot points back at the task so
+    failed waits arrive via :meth:`throw`.  Construction schedules the same init
     event as ``env.process``, termination consumes the same ``succeed``
     schedule, and every wait maps 1:1 onto an event — so converting a
     lifecycle from a generator to a ContTask is invisible to event
@@ -574,10 +576,7 @@ class Condition(Event):
     ):
         Event.__init__(self, env)
         self._evaluate = evaluate
-        self._attach(env, list(events))
-
-    def _attach(self, env: "Environment", events: list[Event]) -> None:
-        self._events = events
+        self._events = events = list(events)
         self._count = 0
         for event in events:
             if event.env is not env:
@@ -621,21 +620,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._evaluate = _all_fired
-        self._attach(env, list(events))
-
-    def _check(self, event: Event) -> None:
-        if self._state >= _TRIGGERED:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._count == len(self._events):
-            self.succeed(self._collect_values())
+        Condition.__init__(self, env, _all_fired, events)
 
 
 class AnyOf(Condition):
@@ -644,21 +629,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._evaluate = _any_fired
-        self._attach(env, list(events))
-
-    def _check(self, event: Event) -> None:
-        if self._state >= _TRIGGERED:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect_values())
+        Condition.__init__(self, env, _any_fired, events)
 
 
 def _make_event_factory(env: "Environment"):
@@ -961,12 +932,11 @@ class Environment:
                     f"until ({stop_time}) lies in the past (now={self._now})"
                 )
 
-        # The tick-drain/dispatch/recycle loop is fully inlined, twice: a
-        # tight variant for run() (no stop conditions — the kernel
-        # benchmark path) and a general variant for run(until=...).  At
-        # millions of events per run the per-event cost of method calls
-        # and dead stop checks is measurable; keep the two bodies in
-        # sync when touching either.
+        # The tick-drain/dispatch/recycle loop is inlined: at millions of
+        # events per run the per-event cost of method calls and attribute
+        # lookups is measurable.  Waiting processes (generators and
+        # ContTasks alike) resume through Process._resume, the one copy
+        # of the single-waiter protocol.
         #
         # Step accounting is derived, not maintained: every heap push
         # consumes one sequence number, so pops over this run window are
@@ -984,348 +954,122 @@ class Environment:
         len_before = len(queue) + len(tick)
         seq_before = self._sequence
         try:
-            if stop_event is None and stop_time == float("inf"):
-                # -- tight loop: drain everything ------------------------
-                # No tick batching here: bare run() is the kernel
-                # micro-benchmark path where timestamps are almost all
-                # distinct, and heap (time, seq) order alone already
-                # yields the deterministic firing order.  Same-instant
-                # batching lives in the general loop below, which is
-                # what serving/fleet/chaos drive via run(until=...).
-                while queue:
+            while True:
+                if stop_event is not None and stop_event._waiter is _FIRED:
+                    break
+                if tick:
+                    event = tick.popleft()
+                elif queue:
+                    if queue[0][0] > stop_time:
+                        self._now = stop_time
+                        return None
                     when, _, event = pop(queue)
                     self._now = when
-                    # The processed marker (_waiter = _FIRED) is stored
-                    # lazily: before callbacks run, on lazy-cancel drops,
-                    # and on events that survive recycling.  An event
-                    # recycled in this same iteration is unobservable in
-                    # between, so the hot path skips the store entirely.
-                    waiter = event._waiter
-                    if waiter is not None:
-                        # Inline single-waiter resume (the hot path).
-                        if event._ok:
-                            self._active_process = waiter
-                            try:
-                                nxt = waiter._send(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        elif event._cancelled:
-                            # Lazy cancellation: dropped, never fired; a
-                            # parked waiter stays parked (its _target ref
-                            # also keeps the event off the freelist).
-                            event._waiter = _FIRED
-                            cancelled += 1
-                            continue
-                        else:
-                            self._active_process = waiter
-                            event._defused = True
-                            try:
-                                nxt = waiter._generator.throw(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        if nxt is not _DONE:
-                            try:
-                                wslot = nxt._waiter
-                            except AttributeError:
-                                raise SimulationError(
-                                    f"process yielded a non-event: {nxt!r}"
-                                ) from None
-                            if wslot is None:
-                                if not nxt.callbacks:
-                                    nxt._waiter = waiter
-                                else:
-                                    nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            elif wslot is not _FIRED:
-                                nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            else:
-                                # Already processed: relay at this instant.
-                                if event_pool:
-                                    relay = event_pool.pop()
-                                else:
-                                    relay = Event(self)
-                                ok = nxt._ok
-                                relay._ok = ok
-                                relay._value = nxt._value
-                                if not ok:
-                                    nxt._defused = True
-                                    relay._defused = True
-                                relay._state = _TRIGGERED
-                                relay._waiter = waiter
-                                heappush(
-                                    queue, (self._now, self._sequence, relay)
-                                )
-                                self._sequence += 1
-                                waiter._target = relay
-                        cbs = event.callbacks
-                        if cbs:
-                            event._waiter = _FIRED
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                        # A failed event resumed a waiter above, which
-                        # defused it; no unobserved-failure check needed.
-                    elif event._ok:
+                    if queue and queue[0][0] == when:
+                        append = tick.append
+                        while queue and queue[0][0] == when:
+                            append(pop(queue)[2])
+                else:
+                    break
+                # The processed marker (_waiter = _FIRED) is stored lazily:
+                # before callbacks run, on lazy-cancel drops, and on events
+                # that survive recycling.  An event recycled in this same
+                # iteration is unobservable in between, so the common path
+                # skips the store entirely.
+                waiter = event._waiter
+                if waiter is not None:
+                    if event._cancelled:
+                        # Lazy cancellation: dropped, never fired; a parked
+                        # waiter stays parked (its _target ref also keeps
+                        # the event off the freelist).
                         event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                    elif event._cancelled:
                         cancelled += 1
-                        if event.__class__ is Timeout and refs(event) == 2:
-                            cbs = event.callbacks
-                            if cbs:
-                                cbs.clear()
-                            event._value = None
-                            event._ok = True
-                            event._cancelled = False
-                            event._waiter = None
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
                         continue
-                    else:
+                    # Resuming a waiter on a failed event defuses it, so
+                    # no unobserved-failure check is needed on this path.
+                    waiter._resume(event)
+                    cbs = event.callbacks
+                    if cbs:
                         event._waiter = _FIRED
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                elif event._ok:
+                    event._waiter = _FIRED
+                    cbs = event.callbacks
+                    if cbs:
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                elif event._cancelled:
+                    cancelled += 1
+                    if event.__class__ is Timeout and refs(event) == 2:
                         cbs = event.callbacks
                         if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
                             cbs.clear()
-                            event.callbacks = cbs
-                        if not event._defused:
-                            raise event._value
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Event:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Process:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event._generator = None
-                            event._send = None
-                            event._target = None
-                            process_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
+                        event._value = None
+                        event._ok = True
+                        event._cancelled = False
+                        event._waiter = None
+                        timeout_pool.append(event)
+                        recycled += 1
                     else:
                         event._waiter = _FIRED
-            else:
-                # -- general loop: stop on time or event -----------------
-                while True:
-                    if stop_event is not None and stop_event._waiter is _FIRED:
-                        break
-                    if tick:
-                        event = tick.popleft()
-                    elif queue:
-                        if queue[0][0] > stop_time:
-                            self._now = stop_time
-                            return None
-                        when, _, event = pop(queue)
-                        self._now = when
-                        if queue and queue[0][0] == when:
-                            append = tick.append
-                            while queue and queue[0][0] == when:
-                                append(pop(queue)[2])
-                    else:
-                        break
-                    waiter = event._waiter
-                    if waiter is not None:
-                        if event._ok:
-                            self._active_process = waiter
-                            try:
-                                nxt = waiter._send(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        elif event._cancelled:
-                            event._waiter = _FIRED
-                            cancelled += 1
-                            continue
-                        else:
-                            self._active_process = waiter
-                            event._defused = True
-                            try:
-                                nxt = waiter._generator.throw(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        if nxt is not _DONE:
-                            try:
-                                wslot = nxt._waiter
-                            except AttributeError:
-                                raise SimulationError(
-                                    f"process yielded a non-event: {nxt!r}"
-                                ) from None
-                            if wslot is None:
-                                if not nxt.callbacks:
-                                    nxt._waiter = waiter
-                                else:
-                                    nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            elif wslot is not _FIRED:
-                                nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            else:
-                                if event_pool:
-                                    relay = event_pool.pop()
-                                else:
-                                    relay = Event(self)
-                                ok = nxt._ok
-                                relay._ok = ok
-                                relay._value = nxt._value
-                                if not ok:
-                                    nxt._defused = True
-                                    relay._defused = True
-                                relay._state = _TRIGGERED
-                                relay._waiter = waiter
-                                heappush(
-                                    queue, (self._now, self._sequence, relay)
-                                )
-                                self._sequence += 1
-                                waiter._target = relay
-                        cbs = event.callbacks
-                        if cbs:
-                            event._waiter = _FIRED
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                    elif event._ok:
-                        event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                    elif event._cancelled:
-                        cancelled += 1
-                        if event.__class__ is Timeout and refs(event) == 2:
-                            cbs = event.callbacks
-                            if cbs:
-                                cbs.clear()
-                            event._value = None
+                    continue
+                else:
+                    event._waiter = _FIRED
+                    cbs = event.callbacks
+                    if cbs:
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                    if not event._defused:
+                        raise event._value
+                cls = event.__class__
+                if cls is Timeout:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
                             event._ok = True
-                            event._cancelled = False
-                            event._waiter = None
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                        continue
+                            event._defused = False
+                        timeout_pool.append(event)
+                        recycled += 1
                     else:
                         event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                        if not event._defused:
-                            raise event._value
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Event:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Process:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event._generator = None
-                            event._send = None
-                            event._target = None
-                            process_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
+                elif cls is Event:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
+                            event._ok = True
+                            event._defused = False
+                        event_pool.append(event)
+                        recycled += 1
                     else:
                         event._waiter = _FIRED
+                elif cls is Process:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
+                            event._ok = True
+                            event._defused = False
+                        event._generator = None
+                        event._send = None
+                        event._target = None
+                        process_pool.append(event)
+                        recycled += 1
+                    else:
+                        event._waiter = _FIRED
+                else:
+                    event._waiter = _FIRED
         finally:
             self._active_process = None
             # A half-drained tick (early break, surfaced failure) goes

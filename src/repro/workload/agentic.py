@@ -41,7 +41,6 @@ identical plans byte for byte.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -232,25 +231,10 @@ class AgenticConfig:
         Explicit ``overrides`` win over the environment; unrecognized
         ``REPRO_*`` keys warn with the nearest valid key.
         """
-        from ..envkeys import warn_unknown_env_keys
+        from ..envkeys import WORKLOAD_KEYS, read_env, warn_unknown_env_keys
 
-        environ = os.environ if environ is None else environ
         warn_unknown_env_keys(environ)
-        kwargs: dict[str, object] = {}
-        mapping = {
-            "REPRO_WORKLOAD_SESSION_RATE": ("session_rate", float),
-            "REPRO_WORKLOAD_HORIZON": ("horizon", float),
-            "REPRO_WORKLOAD_SEED": ("seed", int),
-            "REPRO_WORKLOAD_AGENTS": ("agents", int),
-            "REPRO_WORKLOAD_MAX_STAGES": ("max_stages", int),
-            "REPRO_WORKLOAD_MAX_FANOUT": ("max_fanout", int),
-            "REPRO_WORKLOAD_THINK_TIME": ("think_time", float),
-        }
-        for key, (name, cast) in mapping.items():
-            if key in environ:
-                kwargs[name] = cast(environ[key])
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**{**read_env(WORKLOAD_KEYS, environ), **overrides})
 
 
 def agent_variant_groups(

@@ -223,3 +223,16 @@ class TestPooledEventReuse:
         env.process(proc(env))
         env.run()
         assert result == [42]
+
+
+class TestKernelMicroCounters:
+    def test_kernel_event_throughput_counters_are_pinned(self):
+        """Bare ``env.run()`` drives the one batched dispatch loop; the
+        kernel micro-benchmark's work counters must not move."""
+        from benchmarks.perf.scenarios import kernel_event_throughput
+
+        result = kernel_event_throughput(quick=True)
+        assert result["sim_steps"] == 40302
+        assert result["sim_end"] == 1099.0
+        assert result["events_recycled"] == 40301
+        assert result["events_cancelled"] == 100
