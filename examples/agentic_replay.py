@@ -109,7 +109,7 @@ def run_bundle(args, bundle: str):
     coordinator = SessionCoordinator(system.env, stream.spec_of, obs=system.obs)
     system.attach_sessions(coordinator)
     start = time.perf_counter()
-    system.serve_stream(coordinator.wrap_stream(stream))
+    system.serve(coordinator.wrap_stream(stream))
     wall = time.perf_counter() - start
 
     sessions = coordinator.summary()

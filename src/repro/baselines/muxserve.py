@@ -34,7 +34,6 @@ from ..models.latency import LatencyModel
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MIN_KV_BYTES, MemoryConstrainedPlacement
 from ..sim import Environment
-from ..workload.trace import Trace
 from .base import BaselineServer, BatcherInstanceBase
 
 __all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance", "plan_placement"]
@@ -191,12 +190,16 @@ class MuxServe(BaselineServer):
         self.unplaced: set[str] = set()
         self.gpu_count = len(cluster.gpus)
 
-    def prepare(self, trace: Trace) -> None:
-        """Run the bundle's placement policy over the trace's model set."""
-        counts = trace.per_model_counts()
-        models = sorted(
-            trace.models, key=lambda spec: counts.get(spec.name, 0), reverse=True
-        )
+    def prepare(self, source) -> None:
+        """Run the bundle's placement policy over the source's model set.
+
+        Models are offered busiest first, by ``source.rates``; a source
+        without rates keeps its model order.
+        """
+        models = list(source.models)
+        if source.rates is not None:
+            rate_of = dict(zip((spec.name for spec in models), source.rates))
+            models.sort(key=lambda spec: rate_of[spec.name], reverse=True)
         slots = len(self.cluster.gpus) // self.tp
         slot_specs = [self.cluster.gpus[index * self.tp].spec for index in range(slots)]
         placements, unplaced = self.policies.placement.plan(
@@ -253,8 +256,8 @@ class DedicatedServing(BaselineServer):
         self.max_batch_size = max_batch_size
         self.instances: dict[str, SharedGpuInstance] = {}
 
-    def prepare(self, trace: Trace) -> None:
-        for spec in trace.models:
+    def prepare(self, source) -> None:
+        for spec in source.models:
             self.instances[spec.name] = SharedGpuInstance(
                 self.env,
                 self.gpu_spec,

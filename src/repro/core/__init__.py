@@ -3,7 +3,6 @@
 from .decode_sched import (
     BatchedDecodeScheduler,
     DecodeBatch,
-    QMAX,
     compute_quotas,
     estimate_round_attainment,
     reorder_work_list,
@@ -11,7 +10,6 @@ from .decode_sched import (
 from .instance import DecodeInstance, PrefillInstance
 from .prefill_sched import (
     GroupedPrefillScheduler,
-    MAX_GPSIZE,
     PrefillGroup,
 )
 from .proxy import ProxyLayer, StatusRegistry
@@ -43,12 +41,10 @@ __all__ = [
     "DecodeBatch",
     "DecodeInstance",
     "GroupedPrefillScheduler",
-    "MAX_GPSIZE",
     "MuxServeConfig",
     "PrefillGroup",
     "PrefillInstance",
     "ProxyLayer",
-    "QMAX",
     "RunSettings",
     "ServerlessLLMConfig",
     "ServingSystem",

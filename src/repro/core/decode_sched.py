@@ -34,11 +34,9 @@ from ..policy.decode_turn import (
     reorder_work_list,
 )
 from ..policy.dispatch import BatchedDecodeDispatch
-from ..policy.tunables import DEFAULT_TUNABLES
 from .slo import SloSpec
 
 __all__ = [
-    "QMAX",
     "BatchedDecodeScheduler",
     "DecodeBatch",
     "DecodeInstanceLike",
@@ -46,12 +44,6 @@ __all__ = [
     "estimate_round_attainment",
     "reorder_work_list",
 ]
-
-# Maximum per-turn quota, seconds; the paper sets 4 s empirically and
-# reports robustness to alternative settings.  Canonically a field of
-# :class:`repro.policy.Tunables`; this alias keeps old imports working.
-QMAX = DEFAULT_TUNABLES.qmax
-
 
 @dataclass
 class DecodeBatch:

@@ -35,13 +35,7 @@ from ..obs import NULL_OBS, Observability
 from ..policy.dispatch import GroupedPrefillDispatch
 from ..policy.tunables import DEFAULT_TUNABLES
 
-__all__ = ["MAX_GPSIZE", "PrefillGroup", "PrefillInstanceLike", "GroupedPrefillScheduler"]
-
-# Grid-searched in the paper; larger values behave identically because
-# groups seldom grow past 8, smaller ones re-scale too often under load.
-# Canonically ``Tunables.max_prefill_group``; alias for old imports.
-MAX_GPSIZE = DEFAULT_TUNABLES.max_prefill_group
-
+__all__ = ["PrefillGroup", "PrefillInstanceLike", "GroupedPrefillScheduler"]
 
 @dataclass
 class PrefillGroup:
@@ -92,7 +86,7 @@ class GroupedPrefillScheduler:
     def __init__(
         self,
         instances: list[PrefillInstanceLike],
-        max_group_size: int = MAX_GPSIZE,
+        max_group_size: int = DEFAULT_TUNABLES.max_prefill_group,
         obs: Observability = NULL_OBS,
         policy: Optional[GroupedPrefillDispatch] = None,
     ):

@@ -4,19 +4,22 @@ The production system fronts the instance pool with a proxy/load-balancer
 that synchronizes request metadata through a shared in-memory store
 (Redis).  Here the :class:`StatusRegistry` plays that role — a single
 source of truth for request state that instances and the server update —
-and :class:`ProxyLayer` replays a trace into the prefill scheduler.
+and :class:`ProxyLayer` admits arriving requests.  :class:`Pump` is the
+one request pump: it feeds any arrival-ordered source (a
+:class:`~repro.workload.trace.Trace` or a
+:class:`~repro.workload.stream.RequestStream`) into a submit callable,
+for a single system's proxy and for the fleet runner alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..engine.request import Phase, Request
-from ..sim import Environment, Event
-from ..workload.trace import Trace
+from ..sim import ContTask, Environment, Event
 
-__all__ = ["StatusRegistry", "ProxyLayer"]
+__all__ = ["StatusRegistry", "ProxyLayer", "Pump"]
 
 
 @dataclass
@@ -80,8 +83,9 @@ class ProxyLayer:
         self.submitted = 0
         self.all_submitted: Event = env.event()
 
-    def admit(self, request: Request) -> None:
-        """Record one arriving request and hand it to the dispatcher."""
+    def admit(self, trace_request, spec) -> Request:
+        """Build one arriving request, record it, and dispatch it."""
+        request = Request(trace=trace_request, spec=spec)
         if self.retain:
             self.requests.append(request)
         else:
@@ -89,6 +93,7 @@ class ProxyLayer:
         self.submitted += 1
         self.registry.update(request)
         self.dispatch(request)
+        return request
 
     def drop(self, request: Request) -> None:
         """Forget a terminally disposed request (non-retaining mode)."""
@@ -98,32 +103,61 @@ class ProxyLayer:
         """Every request the proxy still knows about (analysis/invariants)."""
         return self.requests if self.retain else self.live.values()
 
-    def replay(self, trace: Trace) -> Generator:
-        """Process: submit every trace request at its arrival time."""
-        for trace_request in trace.requests:
-            delay = trace_request.arrival - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            request = Request(
-                trace=trace_request, spec=trace.spec_of(trace_request.model)
-            )
-            self.admit(request)
-        self.all_submitted.succeed()
+    def replay(self, source) -> "Pump":
+        """Start a :class:`Pump` admitting every request of ``source``.
 
-    def replay_stream(self, stream) -> Generator:
-        """Process: pull a :class:`~repro.workload.stream.RequestStream`.
-
-        Requests are drawn lazily from the stream at simulation time, so
-        lookahead stays bounded by the stream's own contract (one pending
-        request per model).
+        ``all_submitted`` succeeds once the source is exhausted.
         """
-        spec_of = stream.spec_of
-        for trace_request in stream:
-            delay = trace_request.arrival - self.env.now
+        return Pump(self.env, source, self.admit, self.all_submitted.succeed)
+
+
+class Pump(ContTask):
+    """The request pump: submits each request at its arrival time.
+
+    Pulls ``source`` lazily, one request at a time (so lookahead stays
+    bounded by the source's own contract), sleeps until each request's
+    arrival and calls ``submit(trace_request, spec)``.  The next request
+    is pulled in the same instant the previous one was submitted.
+    ``exhausted`` (if given) runs once the source runs dry, just before
+    the task terminates.
+    """
+
+    __slots__ = ("_source", "_spec_of", "_submit", "_exhausted", "_pending")
+
+    def __init__(
+        self,
+        env: Environment,
+        source,
+        submit: Callable[..., object],
+        exhausted: Optional[Callable[[], object]] = None,
+    ) -> None:
+        self._source = source
+        self._spec_of = source.spec_of
+        self._submit = submit
+        self._exhausted = exhausted
+        self._pending = None
+        ContTask.__init__(self, env)
+
+    def _start(self, value: object) -> Event:
+        self._source = iter(self._source)
+        self._send = self._arrived
+        return self._next()
+
+    def _arrived(self, value: object) -> Event:
+        trace_request = self._pending
+        self._submit(trace_request, self._spec_of(trace_request.model))
+        return self._next()
+
+    def _next(self) -> Event:
+        env = self.env
+        submit = self._submit
+        spec_of = self._spec_of
+        for trace_request in self._source:
+            delay = trace_request.arrival - env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            request = Request(
-                trace=trace_request, spec=spec_of(trace_request.model)
-            )
-            self.admit(request)
-        self.all_submitted.succeed()
+                self._pending = trace_request
+                return env.timeout(delay)
+            submit(trace_request, spec_of(trace_request.model))
+        if self._exhausted is not None:
+            self._exhausted()
+        raise StopIteration

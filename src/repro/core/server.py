@@ -31,7 +31,6 @@ from ..obs import ObsConfig
 from ..policy.base import PolicyBundle
 from ..sim import Environment
 from ..transfer.kv_transfer import MoveList
-from ..workload.trace import Trace
 from .decode_sched import BatchedDecodeScheduler
 from .instance import DecodeInstance, PrefillInstance
 from .prefill_sched import GroupedPrefillScheduler
@@ -307,15 +306,16 @@ class AegaeonServer(ServingSystemBase):
         for spec in models:
             self.model_cache.insert(spec.name, spec.weight_bytes // tp)
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, source) -> None:
         """Warm the model cache unless ``serve(..., warm=False)`` asked not to."""
         if self._warm_on_prepare:
-            self.warm(list(trace.models))
+            self.warm(list(source.models))
 
-    def serve(self, trace: Trace, warm: bool = True, until: float | None = None) -> "ServingResult":
-        """Replay ``trace`` to completion (or the drain deadline)."""
+    def serve(self, source, warm: bool = True, until: float | None = None) -> "ServingResult":
+        """Replay a ``Trace`` or ``RequestStream`` to completion (or the
+        drain deadline)."""
         self._warm_on_prepare = warm
-        return super().serve(trace, until=until)
+        return super().serve(source, until=until)
 
     # -- variants -----------------------------------------------------------
     @classmethod

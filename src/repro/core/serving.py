@@ -25,9 +25,8 @@ from ..obs import NULL_OBS, ObsConfig, Observability
 from ..policy.base import PolicyBundle, policy_event
 from ..policy.registry import resolve_bundle
 from ..policy.tunables import Tunables
-from ..sim import Environment
+from ..sim import ContTask, Environment, Event
 from ..transfer.kv_transfer import TransferStats
-from ..workload.trace import Trace
 from .proxy import ProxyLayer, StatusRegistry
 from .slo import DEFAULT_SLO, SloSpec
 
@@ -41,6 +40,7 @@ __all__ = [
     "MuxServeConfig",
     "UnifiedConfig",
     "RunSettings",
+    "Watchdog",
     "build_system",
     "available_systems",
     "resolve_cluster",
@@ -79,16 +79,18 @@ class ServingSystem(Protocol):
     label: str
     obs: Observability
 
-    def prepare(self, trace: Trace) -> None:
-        """Pre-trace setup (placement, cache warming)."""
+    def prepare(self, source) -> None:
+        """Pre-run setup (placement, cache warming) from the source's
+        ``models``, ``horizon`` and ``rates``."""
 
     def dispatch(self, request: Request) -> None:
         """Route one arriving request."""
 
-    def serve(self, trace: Trace, until: Optional[float] = None) -> "ServingResult":
-        """Replay ``trace`` to completion or the drain deadline."""
+    def serve(self, source, until: Optional[float] = None) -> "ServingResult":
+        """Replay a ``Trace`` or ``RequestStream`` to completion or the
+        drain deadline."""
 
-    def collect(self, trace: Trace) -> "ServingResult":
+    def collect(self, source) -> "ServingResult":
         """Assemble the measurement object from current state."""
 
     def scale_records(self) -> list[ScaleRecord]:
@@ -96,6 +98,31 @@ class ServingSystem(Protocol):
 
 
 # -- shared plumbing ---------------------------------------------------------
+class Watchdog(ContTask):
+    """Ends a run: polls ``done()`` once a second until it holds.
+
+    The task terminates (firing as an event, so ``env.run(until=...)``
+    returns) at the first poll where ``done()`` is true or the clock has
+    reached ``deadline``.  Single systems and the fleet runner each pass
+    their own conservation predicate.
+    """
+
+    __slots__ = ("_done", "_deadline")
+
+    def __init__(
+        self, env: Environment, done: Callable[[], bool], deadline: float
+    ) -> None:
+        self._done = done
+        self._deadline = deadline
+        ContTask.__init__(self, env)
+
+    def _start(self, value: object) -> Event:
+        # The only state: every poll re-enters here.
+        if self._done() or self.env.now >= self._deadline:
+            raise StopIteration
+        return self.env.timeout(1.0)
+
+
 class ServingSystemBase:
     """Trace replay, completion tracking, result collection, observability.
 
@@ -222,8 +249,8 @@ class ServingSystemBase:
         """Route one arriving request (subclasses implement)."""
         raise NotImplementedError
 
-    def prepare(self, trace: Trace) -> None:
-        """Pre-trace setup (placement, cache warming); optional."""
+    def prepare(self, source) -> None:
+        """Pre-run setup (placement, cache warming); optional."""
 
     def engines(self) -> list[AegaeonEngine]:
         """The system's engines, for scaling/transfer statistics; optional."""
@@ -317,9 +344,7 @@ class ServingSystemBase:
     def submit(self, trace_request, spec) -> Request:
         """Admit one externally driven request (the fleet-runner path)."""
         self.spec_index.setdefault(spec.name, spec)
-        request = Request(trace=trace_request, spec=spec)
-        self.proxy.admit(request)
-        return request
+        return self.proxy.admit(trace_request, spec)
 
     def _dispose(self, request: Request, ledger: list[Request]) -> None:
         """Final accounting shared by every terminal disposition."""
@@ -373,58 +398,39 @@ class ServingSystemBase:
         """Requests with a final disposition: finished, failed, rejected."""
         return self._disposed
 
-    def serve(self, trace: Trace, until: Optional[float] = None) -> "ServingResult":
-        """Replay ``trace`` to completion or the drain deadline."""
-        self.register_models(trace.models)
-        self.prepare(trace)
-        self.env.process(self.proxy.replay(trace))
-        deadline = until if until is not None else trace.horizon + self.drain_grace
+    def serve(self, source, until: Optional[float] = None) -> "ServingResult":
+        """Replay ``source`` to completion or the drain deadline.
 
-        def watchdog():
-            while not (
-                self.accounted >= len(trace.requests) and self._drained()
-            ):
-                if self.env.now >= deadline:
-                    return
-                yield self.env.timeout(1.0)
-
-        self.env.run(until=self.env.process(watchdog()))
+        ``source`` is a :class:`~repro.workload.trace.Trace` or a
+        :class:`~repro.workload.stream.RequestStream`; the proxy's pump
+        pulls it one request at a time, so with
+        ``configure_streaming(retain_requests=False)`` a streamed run's
+        memory is bounded by concurrency, not request count.
+        """
+        self.register_models(source.models)
+        self.prepare(source)
+        proxy = self.proxy
+        proxy.replay(source)
+        deadline = until if until is not None else source.horizon + self.drain_grace
+        self.env.run(
+            until=Watchdog(
+                self.env,
+                lambda: proxy.all_submitted.triggered
+                and self.accounted >= proxy.submitted
+                and self._drained(),
+                deadline,
+            )
+        )
         if self.invariant_checker is not None:
             self.invariant_checker.check_now()
             self.invariant_checker.assert_clean()
-        return self.collect(trace)
+        return self.collect(source)
 
     def serve_stream(self, stream, until: Optional[float] = None) -> "ServingResult":
-        """Replay a :class:`~repro.workload.stream.RequestStream` lazily.
+        """Same as :meth:`serve` (kept for existing callers)."""
+        return self.serve(stream, until=until)
 
-        The stream is pulled one request at a time (bounded lookahead);
-        with ``configure_streaming(retain_requests=False)`` the run's
-        memory is bounded by concurrency, not request count.  ``prepare``
-        receives the stream itself, which quacks enough like a trace
-        (``models``, ``horizon``) for cache warming.
-        """
-        self.register_models(stream.models)
-        self.prepare(stream)
-        self.env.process(self.proxy.replay_stream(stream))
-        deadline = until if until is not None else stream.horizon + self.drain_grace
-
-        def watchdog():
-            while not (
-                self.proxy.all_submitted.triggered
-                and self.accounted >= self.proxy.submitted
-                and self._drained()
-            ):
-                if self.env.now >= deadline:
-                    return
-                yield self.env.timeout(1.0)
-
-        self.env.run(until=self.env.process(watchdog()))
-        if self.invariant_checker is not None:
-            self.invariant_checker.check_now()
-            self.invariant_checker.assert_clean()
-        return self.collect(stream)
-
-    def collect(self, trace: Trace) -> "ServingResult":
+    def collect(self, source) -> "ServingResult":
         """Assemble the measurement object."""
         # Imported here to avoid a core <-> analysis import cycle.
         from ..analysis.metrics import ServingResult
@@ -432,7 +438,7 @@ class ServingSystemBase:
         return ServingResult(
             requests=list(self.proxy.requests),
             slo=self.slo,
-            horizon=trace.horizon,
+            horizon=source.horizon,
             end_time=self.env.now,
             scale_records=self.scale_records(),
             transfer_stats=self.transfer_stats(),

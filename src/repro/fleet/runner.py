@@ -4,9 +4,10 @@ A :class:`FleetRunner` drives many independent serving systems — each a
 full proxy + schedulers + instance pools built through the existing
 :class:`~repro.core.serving.SystemSpec` seam — from a single simulation
 :class:`~repro.sim.Environment`.  The catalog is split across shards by
-a :class:`~repro.fleet.partition.CatalogPartitioner`; a single pump
-process pulls the global :class:`~repro.workload.stream.RequestStream`
-lazily and submits each request to the shard owning its model.
+a :class:`~repro.fleet.partition.CatalogPartitioner`; the request pump
+(:class:`~repro.core.proxy.Pump`, the one a single system's proxy runs)
+pulls the global :class:`~repro.workload.stream.RequestStream` lazily
+and submits each request to the shard owning its model.
 
 Shards run in streaming mode (``retain_requests=False``): every terminal
 request is folded into that shard's
@@ -23,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..core.serving import SystemSpec
+from ..core.proxy import Pump
+from ..core.serving import SystemSpec, Watchdog
 from ..envkeys import FLEET_KEYS, read_env, warn_unknown_env_keys
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MARKET_HOURLY_USD
-from ..sim import ContTask, Environment, Event
+from ..sim import Environment
 from .controller import ControllerConfig, FleetController
 from .partition import CatalogPartitioner
 from .rollup import FleetRollup, ShardStats
@@ -164,10 +166,12 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class _ShardCatalog:
-    """The trace-shaped view ``prepare()`` expects: models + horizon."""
+    """The source-shaped view ``prepare()`` expects: models, horizon and
+    (when the stream knows them) the models' rates."""
 
     models: tuple
     horizon: float
+    rates: Optional[tuple] = None
 
 
 class FleetRunner:
@@ -183,7 +187,6 @@ class FleetRunner:
         )
         self.obs = Observability(config.obs, clock=lambda: self.env.now)
         self.submitted = 0
-        self._all_submitted = False
         #: Extra drain predicates for the run watchdog (sessions).
         self.drain_hooks: list = []
         #: The attached :class:`~repro.core.sessions.SessionCoordinator`,
@@ -250,14 +253,15 @@ class FleetRunner:
     def _drained(self) -> bool:
         return all(hook() for hook in self.drain_hooks)
 
-    # -- sessions ------------------------------------------------------------
+    # -- submission and sessions ---------------------------------------------
     def submit_routed(self, trace_request, spec) -> None:
-        """Submit one triggered request through the pump's routing rules.
+        """Submit one request to the shard that owns its model now.
 
-        This is the fleet's session-submission channel: a coordinator's
-        triggered stage goes to whichever shard currently owns its model
-        (honoring live migrations) and counts toward the pump total so
-        the drain watchdog's conservation identity still holds.
+        The pump's submit callable, and the fleet's session-submission
+        channel.  The owner is resolved at submission time, so a request
+        follows a live migration made while the pump slept; every call
+        counts toward :attr:`submitted`, the watchdog's conservation
+        total.
         """
         shard = self.shards[self.partitioner.shard_of(trace_request.model)]
         shard.system.submit(trace_request, spec)
@@ -295,6 +299,10 @@ class FleetRunner:
     def run(self, stream, until: Optional[float] = None) -> FleetResult:
         """Replay ``stream`` across the fleet to completion or deadline."""
         assignment = self.partitioner.assign(stream.models)
+        rate_of = (
+            None if stream.rates is None
+            else dict(zip((spec.name for spec in stream.models), stream.rates))
+        )
         for shard in self.shards:
             shard.models = tuple(assignment[shard.index])
             # Every shard indexes the whole stream's specs: a routing
@@ -302,16 +310,34 @@ class FleetRunner:
             # to a different shard, and the rewrite needs the spec here.
             shard.system.register_models(stream.models)
             shard.system.prepare(
-                _ShardCatalog(models=shard.models, horizon=stream.horizon)
+                _ShardCatalog(
+                    models=shard.models,
+                    horizon=stream.horizon,
+                    rates=None if rate_of is None
+                    else tuple(rate_of[spec.name] for spec in shard.models),
+                )
             )
         if self.controller is not None:
             self.controller.bind_stream(stream)
             self.controller.start()
-        _PumpTask(self.env, self, stream)
+        pump = Pump(self.env, stream, self.submit_routed)
+        controller = self.controller
+
+        def done() -> bool:
+            # Every spill adds one extra terminal disposition beyond the
+            # pump's count: the spilling shard folds it as ``spilled``
+            # and the target shard disposes the re-submission.
+            spills = controller.spills if controller is not None else 0
+            return (
+                pump.triggered
+                and self._disposed() >= self.submitted + spills
+                and self._drained()
+            )
+
         deadline = (
             until if until is not None else stream.horizon + self.config.drain_grace
         )
-        self.env.run(until=_WatchdogTask(self.env, self, deadline))
+        self.env.run(until=Watchdog(self.env, done, deadline))
         for shard in self.shards:
             checker = shard.system.invariant_checker
             if checker is not None:
@@ -355,96 +381,6 @@ class FleetRunner:
                 self.sessions.summary() if self.sessions is not None else None
             ),
         )
-
-
-class _PumpTask(ContTask):
-    """The streaming pump as a continuation state machine.
-
-    Routes the global stream, shard by model ownership.  The owning
-    shard is resolved *after* each arrival wait — a live migration may
-    have moved the model while the pump slept — exactly as the generator
-    pump did.
-    """
-
-    __slots__ = ("_runner", "_iter", "_pending_request", "_shard_of", "_spec_of")
-
-    def __init__(self, env: Environment, runner: FleetRunner, stream) -> None:
-        self._runner = runner
-        self._iter = iter(stream)
-        self._pending_request = None
-        self._shard_of = runner.partitioner.shard_of
-        self._spec_of = stream.spec_of
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._loop()
-
-    def _loop(self) -> Event:
-        env = self.env
-        runner = self._runner
-        stream_iter = self._iter
-        while True:
-            try:
-                trace_request = next(stream_iter)
-            except StopIteration:
-                runner._all_submitted = True
-                raise StopIteration(None) from None
-            delay = trace_request.arrival - env.now
-            if delay > 0:
-                self._pending_request = trace_request
-                self._send = self._arrived
-                return env.timeout(delay)
-            self._submit(trace_request)
-
-    def _arrived(self, value: object) -> Event:
-        trace_request = self._pending_request
-        self._pending_request = None
-        self._submit(trace_request)
-        return self._loop()
-
-    def _submit(self, trace_request) -> None:
-        runner = self._runner
-        shard = runner.shards[self._shard_of(trace_request.model)]
-        shard.system.submit(trace_request, self._spec_of(trace_request.model))
-        runner.submitted += 1
-        if runner.controller is not None:
-            runner.controller.note_arrival(trace_request.model)
-
-
-class _WatchdogTask(ContTask):
-    """The drain watchdog: polls the conservation identity once a second.
-
-    Terminates (firing as an event, ending ``env.run``) when every
-    pumped request plus every controller spill has a terminal
-    disposition and all drain hooks report empty — or at the deadline.
-    """
-
-    __slots__ = ("_runner", "_deadline")
-
-    def __init__(self, env: Environment, runner: FleetRunner, deadline: float) -> None:
-        self._runner = runner
-        self._deadline = deadline
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        self._send = self._tick
-        return self._tick(value)
-
-    def _tick(self, value: object) -> Event:
-        runner = self._runner
-        # Every spill adds one extra terminal disposition beyond the
-        # pump's count: the spilling shard folds it as ``spilled``
-        # and the target shard disposes the re-submission.
-        spills = runner.controller.spills if runner.controller is not None else 0
-        if (
-            runner._all_submitted
-            and runner._disposed() >= runner.submitted + spills
-            and runner._drained()
-        ):
-            raise StopIteration(None)
-        if self.env.now >= self._deadline:
-            raise StopIteration(None)
-        return self.env.timeout(1.0)
 
 
 def build_fleet(

@@ -11,8 +11,7 @@ of one frozen :class:`Tunables` dataclass carried by every
 through :meth:`Tunables.from_env` (the ``REPRO_TUNE_*`` family of
 :mod:`repro.envkeys`, wired into :meth:`repro.core.RunSettings.from_env`).
 
-The defaults reproduce the paper's published settings exactly;
-``QMAX`` and ``MAX_GPSIZE`` survive as aliases of their fields.
+The defaults reproduce the paper's published settings exactly.
 """
 
 from __future__ import annotations

@@ -222,29 +222,6 @@ class Event:
             self._defused = True
             self.fail(event._value)
 
-    # -- internal --------------------------------------------------------
-    def _fire(self) -> None:
-        """Mark processed and run the waiter plus any listed callbacks.
-
-        Dispatch outside the run loop, used by :meth:`Environment.step`.
-        The ``_waiter`` process resumes first — it is only ever installed
-        when the callbacks list is empty, so waiter-then-list is exactly
-        attachment order.
-        """
-        waiter = self._waiter
-        self._waiter = _FIRED
-        if waiter is not None:
-            waiter._resume(self)
-        callbacks = self.callbacks
-        if callbacks:
-            # Detach while running so re-entrant attachment attempts fail
-            # loudly instead of mutating the list under iteration.
-            self.callbacks = None
-            for callback in callbacks:
-                callback(self)
-            callbacks.clear()
-            self.callbacks = callbacks
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
 
@@ -365,8 +342,8 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Resume on ``event``, then park on the next event waited on.
 
-        The one copy of the single-waiter protocol, used by the run loop,
-        :meth:`Event._fire` and multi-waiter callbacks alike: send the
+        The one copy of the single-waiter protocol, used by the run loop
+        and multi-waiter callbacks alike: send the
         value (or throw the failure), then become the next event's
         ``_waiter`` if it has no callbacks, join its callbacks if it has,
         or relay an already-processed event's outcome through a fresh
@@ -859,60 +836,9 @@ class Environment:
         heappush(self._queue, (self._now, self._sequence, init))
         self._sequence += 1
 
-    def _recycle(self, event: Event) -> None:
-        """Return ``event`` to its freelist if nothing else references it.
-
-        The caller's local is expected to be the only remaining reference
-        (``getrefcount == 2``: the local plus getrefcount's argument).
-        Failed events reach this only once defused; the reset clears the
-        value so pooled objects never pin exceptions or payloads alive.
-        """
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is Process:
-            pool = self._process_pool
-        else:
-            return
-        if getrefcount(event) == 3 and len(pool) < _POOL_CAP:
-            cbs = event.callbacks
-            if cbs is None:
-                event.callbacks = []
-            elif cbs:
-                cbs.clear()
-            event._value = None
-            event._ok = True
-            event._defused = False
-            event._cancelled = False
-            event._waiter = None
-            if cls is Process:
-                event._generator = None
-                event._send = None
-                event._target = None
-            pool.append(event)
-            self.events_recycled += 1
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event (cancelled entries are dropped)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = heappop(self._queue)
-        if event._cancelled:
-            event._waiter = _FIRED
-            self.events_cancelled += 1
-            self._recycle(event)
-            return
-        self.steps_executed += 1
-        event._fire()
-        if not event._ok and not event._defused:
-            raise event._value
-        self._recycle(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.

@@ -7,8 +7,8 @@ Two request APIs coexist:
   iterables with bounded lookahead, the fleet-scale path.
 * **Materialized** (:class:`Trace`, :func:`materialize_trace`) — the
   classic full-list format, still used by figure-scale benchmarks.
-  ``RequestStream.materialize()`` bridges streaming → materialized and
-  :func:`stream_of_trace` bridges the other way.
+  ``RequestStream.materialize()`` bridges streaming → materialized; a
+  ``Trace`` is itself iterable, so serving systems accept either.
 """
 
 from .agentic import (
@@ -38,7 +38,7 @@ from .sharegpt import (
     sharegpt_ix2,
     sharegpt_ox2,
 )
-from .stream import RequestStream, merge_streams, stream_of_trace, stream_trace
+from .stream import RequestStream, merge_streams, stream_trace
 from .trace import Trace, TraceRequest, materialize_trace
 
 __all__ = [
@@ -71,6 +71,5 @@ __all__ = [
     "sharegpt",
     "sharegpt_ix2",
     "sharegpt_ox2",
-    "stream_of_trace",
     "stream_trace",
 ]

@@ -23,9 +23,9 @@ Compatibility
 -------------
 :meth:`RequestStream.materialize` drains a stream into a classic
 :class:`Trace` for code that still wants the full list (small runs,
-figure benchmarks).  The reverse shim, :func:`stream_of_trace`, wraps an
-existing materialized trace in the streaming interface so every consumer
-can be written against :class:`RequestStream` alone.
+figure benchmarks).  No reverse shim is needed: a :class:`Trace` is
+itself an arrival-ordered iterable with the same metadata, and every
+serving system and the fleet pump accept either.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from ..models.catalog import ModelSpec
 from .sharegpt import Dataset, sharegpt
 from .trace import Trace, TraceRequest
 
-__all__ = ["RequestStream", "merge_streams", "stream_trace", "stream_of_trace"]
+__all__ = ["RequestStream", "merge_streams", "stream_trace"]
 
 
 class RequestStream:
@@ -201,9 +201,3 @@ def merge_streams(*streams: RequestStream, name: str = "merged") -> RequestStrea
 
     return RequestStream(tuple(specs.values()), horizon, _iterate, name=name)
 
-
-def stream_of_trace(trace: Trace, name: str = "trace") -> RequestStream:
-    """Wrap a materialized :class:`Trace` in the streaming interface."""
-    return RequestStream(
-        trace.models, trace.horizon, lambda: iter(trace.requests), name=name
-    )

@@ -4,12 +4,15 @@ A trace is a time-ordered list of :class:`TraceRequest` records — the
 common input format every serving system in this reproduction consumes.
 Materialized traces suit figure-scale runs; fleet-scale runs stream
 requests instead (see :mod:`repro.workload.stream`), and
-``RequestStream.materialize()`` bridges the two.
+``RequestStream.materialize()`` bridges the two.  Both are iterables of
+:class:`TraceRequest` with ``models``, ``horizon``, ``rates`` and
+``spec_of``, so every serving system serves either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -48,10 +51,21 @@ class Trace:
     def __len__(self) -> int:
         return len(self.requests)
 
+    def __iter__(self) -> Iterator[TraceRequest]:
+        return iter(self.requests)
+
     @property
     def total_rate(self) -> float:
         """Aggregate arrival rate over the horizon."""
         return len(self.requests) / self.horizon if self.horizon > 0 else 0.0
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """Observed per-model arrival rates (count / horizon), aligned
+        with ``models`` like a stream's ``rates``."""
+        counts = self.per_model_counts()
+        horizon = self.horizon if self.horizon > 0 else float("inf")
+        return tuple(counts[spec.name] / horizon for spec in self.models)
 
     def per_model_counts(self) -> dict[str, int]:
         """Request count per model name."""

@@ -17,7 +17,7 @@ class TestProxyReplay:
         proxy = ProxyLayer(env, lambda request: seen.append((env.now, request)))
         models = market_mix(2)
         trace = materialize_trace(models, [0.5, 0.5], sharegpt(), horizon=30.0, seed=3)
-        env.process(proxy.replay(trace))
+        proxy.replay(trace)
         env.run()
         assert len(seen) == len(trace)
         for (time, request), trace_request in zip(seen, trace.requests):
@@ -29,7 +29,7 @@ class TestProxyReplay:
         proxy = ProxyLayer(env, lambda request: None)
         models = market_mix(1)
         trace = materialize_trace(models, [0.2], sharegpt(), horizon=20.0, seed=4)
-        env.process(proxy.replay(trace))
+        proxy.replay(trace)
         env.run()
         assert proxy.all_submitted.triggered
         assert len(proxy.requests) == len(trace)

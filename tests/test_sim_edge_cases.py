@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, Interrupt
 
 
 @pytest.fixture
@@ -109,10 +109,6 @@ class TestRunSemantics:
         env.run()
         # Running until an already-finished process returns immediately.
         assert env.run(until=process) == 7
-
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_active_process_visible_inside(self, env):
         observed = []

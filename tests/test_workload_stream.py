@@ -7,12 +7,10 @@ import pytest
 
 from repro.models import market_mix
 from repro.workload import (
-    RequestStream,
     deployment_stream,
     market_stream,
     materialize_trace,
     sharegpt,
-    stream_of_trace,
     stream_trace,
 )
 
@@ -63,15 +61,6 @@ class TestStreamTrace:
         assert list(trace.requests) == list(stream)
         assert trace.models == stream.models
         assert trace.horizon == stream.horizon
-
-    def test_stream_of_trace_round_trip(self):
-        trace = materialize_trace(
-            market_mix(2), [0.4, 0.4], sharegpt(), horizon=60.0, seed=6
-        )
-        stream = stream_of_trace(trace)
-        assert isinstance(stream, RequestStream)
-        assert list(stream) == list(trace.requests)
-        assert stream.materialize().requests == trace.requests
 
 
 class TestMarketStreams:
