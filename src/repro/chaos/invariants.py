@@ -6,12 +6,13 @@ verifies, *while the run is in flight*, that the system still preserves
 the paper's scheduling semantics:
 
 **I1 — KV-block conservation.**  For every slab allocator, internal
-accounting is exact (per-slab free+used partitions, ``held_bytes``
-matches assigned slabs, peak is monotone, allocated−freed equals live
-blocks).  Across the system, every live block is owned by exactly one
-party: a request's KV handle, a move list (rule ❸ deferred frees), or an
-in-flight swap-out source.  CPU-cache ownership reconciles exactly;
-GPU-cache ownership reconciles as a sum across engines.
+accounting is exact (each assigned slab's used count within its
+capacity, ``held_bytes`` matches assigned slabs, peak is monotone,
+allocated−freed equals live blocks).  Every live block is owned by
+exactly one party: a request's KV handle, a move list (rule ❸ deferred
+frees), or an in-flight swap-out source.  Ownership reconciles per
+allocator and per slab: the runs of those holdings on a slab sum to the
+slab's used count.
 
 **I2 — Token monotonicity.**  Per request: token timestamps are
 non-decreasing, never exceed the requested output length, never precede
@@ -108,54 +109,46 @@ class InvariantChecker:
         engines = self._engines()
         if not engines:
             return
-        gpu_used_total = 0
-        cpu_caches: dict[int, object] = {}
+        # allocator -> {slab index: blocks its holders' runs place there}
+        owned: dict[object, dict[int, int]] = {}
         move_lists: dict[int, object] = {}
-        inflight_sources = 0
+        holdings = []
         for engine in engines:
-            gpu_used_total += self._check_allocator(engine.gpu_kv_cache)
+            owned.setdefault(engine.gpu_kv_cache, {})
             manager = engine.kv
-            cpu_caches[id(manager.cpu_cache)] = manager.cpu_cache
+            owned.setdefault(manager.cpu_cache, {})
             move_lists[id(manager.move_list)] = manager.move_list
-            inflight_sources += sum(
-                len(blocks) for blocks in manager.inflight_sources
-            )
-        cpu_used_total = sum(
-            self._check_allocator(cache) for cache in cpu_caches.values()
-        )
-        # Counting, not per-block identity: a double-owned block makes
-        # the owned side exceed the allocator's live count, so the exact
-        # equations below catch leaks AND double-ownership in aggregate
-        # at O(requests) instead of O(blocks) per check.
-        owned_gpu = 0
-        owned_cpu = 0
+            holdings.extend(manager.inflight_sources)
+        for move_list in move_lists.values():
+            holdings.extend(blocks for blocks, _ in move_list.entries)
         for request in self._requests():
             kv = request.kv
-            if kv is None:
+            if kv is not None:
+                holdings.append(kv.gpu_blocks)
+                holdings.append(kv.cpu_blocks)
+        for holding in holdings:
+            if not holding:
                 continue
-            owned_gpu += len(kv.gpu_blocks)
-            owned_cpu += len(kv.cpu_blocks)
-        moving = sum(
-            move_list.pending_blocks for move_list in move_lists.values()
-        )
-        if owned_cpu + moving != cpu_used_total:
-            self._flag(
-                "kv-conservation",
-                f"CPU cache leak: {cpu_used_total} blocks live in the "
-                f"allocator, {owned_cpu} owned by requests + {moving} in "
-                "move lists",
-            )
-        if owned_gpu + inflight_sources != gpu_used_total:
-            self._flag(
-                "kv-conservation",
-                f"GPU cache leak: {gpu_used_total} blocks live across "
-                f"engines, {owned_gpu} owned by requests + "
-                f"{inflight_sources} in-flight swap-out sources",
-            )
+            per_slab = owned.get(holding.allocator)
+            if per_slab is None:
+                self._flag(
+                    "kv-conservation",
+                    f"{holding!r} held on {holding.allocator.name}, which "
+                    "no engine owns",
+                )
+                continue
+            runs = holding.runs
+            for i in range(0, len(runs), 2):
+                per_slab[runs[i]] = per_slab.get(runs[i], 0) + runs[i + 1]
+        for allocator, per_slab in owned.items():
+            self._check_allocator(allocator, per_slab)
 
-    def _check_allocator(self, allocator) -> int:
-        """Verify one slab allocator's internal accounting; returns its
-        live (used) block count.
+    def _check_allocator(self, allocator, owned: dict[int, int]) -> None:
+        """Verify one slab allocator's internal accounting, and that the
+        runs of every holder (requests, move lists, in-flight swap-out
+        sources; ``owned``, slab index -> blocks) match each slab's used
+        count exactly, so a leak, a double owner or a free applied to
+        the wrong slab is caught on the slab it happened to.
 
         Only assigned slabs are walked (a mostly-empty multi-thousand
         slab CPU cache would dominate the check otherwise); the free
@@ -169,14 +162,27 @@ class InvariantChecker:
                 slab = slabs[index]
                 assigned += 1
                 used = slab.used_count
-                free = len(slab.free_blocks)
-                if used + free != slab.blocks_per_slab:
+                if not 0 < used <= slab.blocks_per_slab:
                     self._flag(
                         "kv-conservation",
-                        f"{allocator.name}: slab {slab.index} partitions "
-                        f"{used} used + {free} free != {slab.blocks_per_slab}",
+                        f"{allocator.name}: assigned slab {index} has {used} "
+                        f"used of {slab.blocks_per_slab} blocks",
+                    )
+                held = owned.pop(index, 0)
+                if held != used:
+                    self._flag(
+                        "kv-conservation",
+                        f"{allocator.name}: slab {index} has {used} blocks in "
+                        f"use, {held} held by requests, move lists and "
+                        "in-flight swap-out sources",
                     )
                 used_total += used
+        for index, held in owned.items():
+            self._flag(
+                "kv-conservation",
+                f"{allocator.name}: {held} blocks held on unassigned slab "
+                f"{index}",
+            )
         if assigned + len(allocator._free_slabs) != allocator.slab_count:
             self._flag(
                 "kv-conservation",
@@ -202,7 +208,6 @@ class InvariantChecker:
                 f"{allocator.name}: allocated {allocator.blocks_allocated} - "
                 f"freed {allocator.blocks_freed} != {used_total} live blocks",
             )
-        return used_total
 
     # -- I2: token monotonicity --------------------------------------------
     def _check_tokens(self) -> None:

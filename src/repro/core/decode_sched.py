@@ -34,7 +34,6 @@ from ..policy.decode_turn import (
     reorder_work_list,
 )
 from ..policy.dispatch import BatchedDecodeDispatch
-from .slo import SloSpec
 
 __all__ = [
     "BatchedDecodeScheduler",

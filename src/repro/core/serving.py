@@ -21,7 +21,7 @@ from ..engine.request import Phase, Request
 from ..envkeys import BUILD_KEYS, RUN_KEYS, read_env, warn_unknown_env_keys
 from ..hardware.cluster import Cluster
 from ..hardware.gpu import H800
-from ..obs import NULL_OBS, ObsConfig, Observability
+from ..obs import ObsConfig, Observability
 from ..policy.base import PolicyBundle, policy_event
 from ..policy.registry import resolve_bundle
 from ..policy.tunables import Tunables

@@ -7,61 +7,94 @@ fixed-size *slabs*; a slab is dynamically assigned to one KV shape and
 serves fixed-size blocks of that shape until every block is freed, at
 which point the slab returns to the shared free pool.
 
-This module is a real allocator: every block handed out is a distinct
-:class:`KvBlock` with a stable address, double-free and cross-shape
-accounting is enforced, and the fragmentation statistics behind the
-paper's Figure 16 are measured from live state.
+No block address is ever read: placement decides which slabs a shape
+holds, and Figure 16 needs only per-slab used counts.  So the allocator
+counts blocks per slab instead of tracking each one.  ``alloc`` returns a
+:class:`KvBlocks` holding -- a shape, a block count and the
+``(slab index, count)`` runs it occupies -- and ``free`` applies the
+accounting once per run.  A second free of a holding, a free into a slab
+of another shape and a free into another allocator are rejected, and the
+fragmentation statistics are measured from live state.
 
-Hot-path design (the allocator sits on the per-decode-round path of
-every instance):
+Placement and hot-path design (the allocator sits on the per-decode-round
+path of every instance):
 
-* **Block arena** — ``KvBlock`` is immutable, so each slab memoizes the
-  blocks it has ever minted (lazily, per index) and hands the same
-  object out on every reuse.  Steady-state allocation does zero tuple
-  construction.
-* **Consolidated per-shape state** — block size, free-block total,
-  availability list, and assigned-slab list live in one ``_ShapeRec``,
-  fetched with a single dict lookup per ``alloc``; the free path
-  reaches it through ``Slab._rec`` with no hashing.  ``capacity_for``
-  reads the incrementally-maintained free total and never scans slabs.
-* **Availability lists** — per-shape lists of slabs that still have
-  free blocks, compacted lazily during allocation, so ``alloc`` never
-  iterates full slabs.  Stale entries (slab released or reassigned) are
-  recognised by ``Slab._avail_shape`` and dropped on sight.
-* **Bitmap occupancy** — per-slab ``bytearray`` occupancy plus an
-  integer count replace the old per-slab ``set``; double-free detection
-  is one index probe.
+* **Availability lists** -- per shape, the slabs believed to have free
+  blocks, in listing order.  ``alloc`` takes ``min(free, remaining)``
+  blocks from each, front first, then acquires new slabs from the end of
+  the free-slab pool (each is appended to the list as it is acquired).
+* **Lazy staleness** -- a slab that fills or is released is not searched
+  out of the list: its entry goes stale (``Slab._avail_shape`` no longer
+  names the shape) and ``alloc`` drops it on sight.  A slab filled on
+  acquisition keeps its (stale) entry; if a free relists a slab whose old
+  entry is still queued, the slab is found at that old position first.
+  Placement, and with it every digest, depends on this order.
+* **Consolidated per-shape state** -- block size, free-block total,
+  availability list and assigned-slab list live in one ``_ShapeRec``,
+  fetched with a single dict lookup per ``alloc``; the free path reaches
+  it through ``Slab._rec`` with no hashing.  ``capacity_for`` reads the
+  incrementally maintained free total and never scans slabs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, NamedTuple, Optional
+from typing import Hashable, Optional
 
 from ..obs import NULL_OBS, Observability
 
-__all__ = ["KvBlock", "Slab", "SlabAllocator", "ShapeStats"]
+__all__ = ["KvBlocks", "Slab", "SlabAllocator", "ShapeStats"]
 
 
-class KvBlock(NamedTuple):
-    """One KV-cache block (a fixed number of tokens of one shape).
+class KvBlocks:
+    """KV-cache blocks of one shape held together, as slab runs.
 
-    A NamedTuple rather than a frozen dataclass: blocks are minted on
-    the allocator's hottest path and tuple construction is several times
-    cheaper than ``object.__setattr__`` per field, with the same
-    immutability, equality, and hashability.  Immutability is also what
-    lets slabs memoize and re-issue the same block object.
+    ``runs`` is a flat list ``[slab, count, slab, count, ...]`` in
+    allocation order; ``len()`` is the block count.  A holding comes from
+    ``allocator``'s :meth:`SlabAllocator.alloc` and goes back whole to
+    its :meth:`SlabAllocator.free`, which empties it (``runs`` becomes
+    None) so that a second free is caught.
     """
 
-    slab_index: int
-    block_index: int
-    shape: Hashable
-    nbytes: int
+    __slots__ = ("shape", "count", "runs", "allocator")
 
-    @property
-    def address(self) -> tuple[int, int]:
-        """Stable identity within the allocator."""
-        return (self.slab_index, self.block_index)
+    def __init__(
+        self, shape: Hashable, count: int, runs: list[int], allocator: "SlabAllocator"
+    ):
+        self.shape = shape
+        self.count = count
+        self.runs = runs
+        self.allocator = allocator
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __repr__(self) -> str:
+        return f"KvBlocks({self.shape!r}, count={self.count}, runs={self.runs})"
+
+    def extend(self, other: KvBlocks) -> None:
+        """Take over ``other``, a later allocation, which is left empty.
+
+        Its first run joins this holding's last run when both sit on the
+        same slab, so a holding grown one block at a time stays one run
+        per slab visit.
+        """
+        runs = self.runs
+        more = other.runs
+        if runs is None or more is None:
+            raise ValueError("cannot extend with or into a freed holding")
+        if other.allocator is not self.allocator or (
+            other.shape is not self.shape and other.shape != self.shape
+        ):
+            raise ValueError(f"cannot merge {other!r} into {self!r}")
+        if runs[-2] == more[0]:
+            runs[-1] += more[1]
+            runs += more[2:]
+        else:
+            runs += more
+        self.count += other.count
+        other.count = 0
+        other.runs = None
 
 
 @dataclass
@@ -72,37 +105,17 @@ class Slab:
     nbytes: int
     shape: Optional[Hashable] = None
     block_bytes: int = 0
-    free_blocks: list[int] = field(default_factory=list)
+    blocks_per_slab: int = 0
     used_count: int = 0
-    # Occupancy bitmap: _used_state[i] is truthy iff block i is live.
-    _used_state: bytearray = field(default_factory=bytearray, repr=False)
     # Shape this slab is listed under in the allocator's availability
     # lists, or None when not listed (full, free, or released).  Lets
     # stale availability entries be recognised without bookkeeping on
     # the release path.
     _avail_shape: Optional[Hashable] = field(default=None, repr=False)
-    # Lazily-minted KvBlock memo for the current shape (index -> block).
-    # One memo list is kept per shape ever hosted (``_block_caches``), so
-    # a slab oscillating between shapes re-issues its old arena instead
-    # of re-minting every block on each rebind.
-    _block_cache: list = field(default_factory=list, repr=False)
-    _block_caches: dict = field(default_factory=dict, repr=False)
     # The allocator's per-shape record this slab is assigned under
     # (set by _acquire_slab); gives the free path its shape bookkeeping
     # without any dict lookups.
     _rec: Optional["_ShapeRec"] = field(default=None, repr=False)
-
-    @property
-    def blocks_per_slab(self) -> int:
-        return self.nbytes // self.block_bytes if self.block_bytes else 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.used_count
-
-    @property
-    def is_full(self) -> bool:
-        return self.shape is not None and not self.free_blocks
 
     def assign(self, shape: Hashable, block_bytes: int) -> None:
         """Bind this (previously free) slab to a shape."""
@@ -114,25 +127,16 @@ class Slab:
             )
         self.shape = shape
         self.block_bytes = block_bytes
-        count = self.nbytes // block_bytes
-        self.free_blocks = list(range(count))
+        self.blocks_per_slab = self.nbytes // block_bytes
         self.used_count = 0
-        self._used_state = bytearray(count)
-        cache = self._block_caches.get(shape)
-        if cache is None:
-            cache = [None] * count
-            self._block_caches[shape] = cache
-        self._block_cache = cache
 
     def unassign(self) -> None:
         """Return the slab to the shared pool (must be empty)."""
-        if not self.is_empty:
+        if self.used_count:
             raise ValueError(f"slab {self.index} still has used blocks")
         self.shape = None
         self.block_bytes = 0
-        self.free_blocks = []
-        self.used_count = 0
-        self._used_state = bytearray()
+        self.blocks_per_slab = 0
         self._avail_shape = None
 
 
@@ -222,7 +226,7 @@ class SlabAllocator:
             scope.gauge("fragmentation").set_fn(self.overall_fragmentation)
 
     # -- allocation ----------------------------------------------------------
-    def alloc(self, shape: Hashable, block_bytes: int, count: int = 1) -> list[KvBlock]:
+    def alloc(self, shape: Hashable, block_bytes: int, count: int = 1) -> KvBlocks:
         """Allocate ``count`` blocks of ``shape``; all-or-nothing.
 
         Raises ``MemoryError`` when the region cannot satisfy the
@@ -246,35 +250,27 @@ class SlabAllocator:
         slabs = self._slabs
         avail = rec.avail
         if count == 1:
-            # Decode growth allocates one block per chunk per request —
+            # Decode growth allocates one block per chunk per request --
             # the allocator's single hottest call shape.  Same slab
-            # choice, block choice, and list states as the general path
-            # (front of the availability list, top of the free list,
-            # stale entries dropped on sight), minus its loop scaffolding.
+            # choice and list states as the general path (front of the
+            # availability list, stale entries dropped on sight), minus
+            # its loop scaffolding.
             while avail:
                 slab_index = avail[0]
                 slab = slabs[slab_index]
-                if slab._avail_shape is not shape:
+                listed = slab._avail_shape
+                if listed is not shape and listed != shape:
                     del avail[0]  # stale: released or reassigned since listed
                     continue
-                free_list = slab.free_blocks
-                block_index = free_list.pop()
-                slab._used_state[block_index] = 1
-                cache = slab._block_cache
-                block = cache[block_index]
-                if block is None:
-                    block = KvBlock(slab_index, block_index, shape, block_bytes)
-                    cache[block_index] = block
                 slab.used_count += 1
-                if not free_list:
+                if slab.used_count == slab.blocks_per_slab:
                     slab._avail_shape = None
                     del avail[0]
                 rec.free_count -= 1
                 self.blocks_allocated += 1
                 self._blocks_allocated.inc(1)
-                return [block]
-        blocks: list[KvBlock] = []
-        append = blocks.append
+                return KvBlocks(shape, 1, [slab_index, 1], self)
+        runs: list[int] = []
         remaining = count
         if avail:
             read = write = 0
@@ -283,121 +279,79 @@ class SlabAllocator:
                 slab_index = avail[read]
                 read += 1
                 slab = slabs[slab_index]
-                if slab._avail_shape is not shape:
+                listed = slab._avail_shape
+                if listed is not shape and listed != shape:
                     continue  # stale: released or reassigned since listed
-                free_list = slab.free_blocks
-                state = slab._used_state
-                cache = slab._block_cache
-                # Take the tail of the free list in pop() order, as one
-                # slice instead of per-block pops.
-                n_free = len(free_list)
-                taken = n_free if n_free < remaining else remaining
-                cut = n_free - taken
-                indices = free_list[n_free - 1 :: -1] if cut == 0 else free_list[: cut - 1 : -1]
-                del free_list[cut:]
-                for block_index in indices:
-                    state[block_index] = 1
-                    block = cache[block_index]
-                    if block is None:
-                        block = KvBlock(
-                            slab_index, block_index, shape, block_bytes
-                        )
-                        cache[block_index] = block
-                    append(block)
-                remaining -= taken
-                slab.used_count += taken
-                if free_list:
+                taken = slab.blocks_per_slab - slab.used_count
+                if taken > remaining:
+                    taken = remaining
                     avail[write] = slab_index
                     write += 1
                 else:
                     slab._avail_shape = None
+                slab.used_count += taken
+                runs += (slab_index, taken)
+                remaining -= taken
             if write != read:
                 del avail[write:read]
         while remaining:
+            # A new slab stays listed; filled here, its entry goes stale.
             slab = self._acquire_slab(shape, block_bytes, rec)
-            free_list = slab.free_blocks
-            state = slab._used_state
-            cache = slab._block_cache
-            slab_index = slab.index
-            n_free = len(free_list)
-            taken = n_free if n_free < remaining else remaining
-            cut = n_free - taken
-            indices = free_list[n_free - 1 :: -1] if cut == 0 else free_list[: cut - 1 : -1]
-            del free_list[cut:]
-            for block_index in indices:
-                state[block_index] = 1
-                block = cache[block_index]
-                if block is None:
-                    block = KvBlock(slab_index, block_index, shape, block_bytes)
-                    cache[block_index] = block
-                append(block)
-            remaining -= taken
-            slab.used_count += taken
-            if not free_list:
+            taken = slab.blocks_per_slab
+            if taken > remaining:
+                taken = remaining
+            else:
                 slab._avail_shape = None
+            slab.used_count = taken
+            runs += (slab.index, taken)
+            remaining -= taken
         rec.free_count -= count
         self.blocks_allocated += count
         self._blocks_allocated.inc(count)
-        return blocks
+        return KvBlocks(shape, count, runs, self)
 
-    def free(self, blocks: list[KvBlock]) -> None:
-        """Release blocks; empty slabs return to the shared pool.
+    def free(self, blocks: KvBlocks) -> None:
+        """Release a holding; empty slabs return to the shared pool.
 
-        Blocks from one allocation come in slab-contiguous runs, so the
-        per-slab bookkeeping (``used_count``, the shape's free total, the
-        release/relist decision) is applied once per run instead of once
-        per block; only the occupancy bit and the free-list push remain
-        per-block work.
+        The per-slab accounting (``used_count``, the shape's free total,
+        the release/relist decision) is applied once per run, in run
+        order.  The holding is left empty.
         """
+        runs = blocks.runs
+        if runs is None:
+            raise ValueError(f"double free of {blocks!r}")
+        if blocks.allocator is not self:
+            raise ValueError(f"{blocks!r} belongs to another allocator")
+        shape = blocks.shape
         slabs = self._slabs
-        slab = None
-        slab_index = -1
-        run = 0
-        shape = state = fl_append = None
-        for block in blocks:
-            index = block.slab_index
-            if index != slab_index:
-                if run:
-                    self._finish_free_run(slab, run)
-                slab = slabs[index]
-                slab_index = index
-                run = 0
-                shape = slab.shape
-                state = slab._used_state
-                fl_append = slab.free_blocks.append
-            if shape is not block.shape and shape != block.shape:
+        for i in range(0, len(runs), 2):
+            slab = slabs[runs[i]]
+            run = runs[i + 1]
+            if slab.shape is not shape and slab.shape != shape:
                 raise ValueError(
-                    f"block {block.address} shape {block.shape!r} does not "
-                    f"match slab shape {shape!r} (double free?)"
+                    f"slab {slab.index} holds shape {slab.shape!r}, not the "
+                    f"freed {shape!r} (double free?)"
                 )
-            block_index = block.block_index
-            if not state[block_index]:
-                raise ValueError(f"double free of block {block.address}")
-            state[block_index] = 0
-            fl_append(block_index)
-            run += 1
-        if run:
-            self._finish_free_run(slab, run)
-        self.blocks_freed += len(blocks)
-        self._blocks_freed.inc(len(blocks))
-
-    def _finish_free_run(self, slab: Slab, run: int) -> None:
-        """Apply the per-slab accounting for ``run`` just-freed blocks.
-
-        Equivalent to the former per-block updates: nothing can allocate
-        between the blocks of one ``free()`` call, so deferring the
-        counter updates and the release/relist decision to the end of the
-        run is unobservable.
-        """
-        rec = slab._rec
-        slab.used_count -= run
-        rec.free_count += run
-        if not slab.used_count:
-            self._release_slab(slab)
-        elif slab._avail_shape is None:
-            # Was full (or lazily delisted); list it again.
-            slab._avail_shape = slab.shape
-            rec.avail.append(slab.index)
+            used = slab.used_count - run
+            if used < 0:
+                raise ValueError(
+                    f"freeing {run} blocks from slab {slab.index}, which has "
+                    f"{slab.used_count} in use (double free?)"
+                )
+            slab.used_count = used
+            rec = slab._rec
+            rec.free_count += run
+            if not used:
+                self._release_slab(slab)
+            elif slab._avail_shape is None:
+                # Was full (or lazily delisted); list it again.
+                slab._avail_shape = slab.shape
+                rec.avail.append(slab.index)
+        count = blocks.count
+        blocks.count = 0
+        blocks.runs = None
+        self.blocks_freed += count
+        self._blocks_freed.inc(count)
 
     # -- capacity ------------------------------------------------------------
     def capacity_for(self, shape: Hashable, block_bytes: int) -> int:
@@ -466,7 +420,7 @@ class SlabAllocator:
         slab._rec = rec
         rec.slabs.append(slab.index)
         rec.avail.append(slab.index)
-        rec.free_count += len(slab.free_blocks)
+        rec.free_count += slab.blocks_per_slab
         self._held_bytes += self.slab_bytes
         if self._held_bytes > self.peak_held_bytes:
             self.peak_held_bytes = self._held_bytes
@@ -475,7 +429,7 @@ class SlabAllocator:
     def _release_slab(self, slab: Slab) -> None:
         rec = slab._rec
         rec.slabs.remove(slab.index)
-        rec.free_count -= len(slab.free_blocks)
+        rec.free_count -= slab.blocks_per_slab
         slab._rec = None
         slab.unassign()
         self._free_slabs.append(slab.index)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..memory.slab import KvBlock, SlabAllocator
+from ..memory.slab import KvBlocks, SlabAllocator
 from ..models.kv import DEFAULT_BLOCK_TOKENS, KvShape
 from ..obs import NULL_OBS, Observability
 from ..sim import ContTask, Environment, Event
@@ -45,8 +45,8 @@ class RequestKv:
     tokens: int
     block_tokens: int = DEFAULT_BLOCK_TOKENS
     location: str = "none"  # none | gpu | cpu
-    gpu_blocks: list[KvBlock] = field(default_factory=list)
-    cpu_blocks: list[KvBlock] = field(default_factory=list)
+    gpu_blocks: Optional[KvBlocks] = None
+    cpu_blocks: Optional[KvBlocks] = None
     last_transfer: Optional[CudaEvent] = None
 
     def __post_init__(self) -> None:
@@ -94,9 +94,9 @@ class RequestKv:
 class MoveList:
     """Unsafe sections of the CPU cache: blocks with in-flight transfers."""
 
-    entries: list[tuple[list[KvBlock], CudaEvent]] = field(default_factory=list)
+    entries: list[tuple[KvBlocks, CudaEvent]] = field(default_factory=list)
 
-    def add(self, blocks: list[KvBlock], event: CudaEvent) -> None:
+    def add(self, blocks: KvBlocks, event: CudaEvent) -> None:
         """Mark blocks unsafe until ``event`` completes."""
         self.entries.append((blocks, event))
 
@@ -111,8 +111,8 @@ class MoveList:
             # entry on every daemon tick.
             if event.completed_at is not None or not event.recorded:
                 blocks = entry[0]
-                cpu_cache.free(blocks)
                 freed += len(blocks)
+                cpu_cache.free(blocks)
             else:
                 keep(entry)
         self.entries = remaining
@@ -169,10 +169,10 @@ class KvTransferManager:
         self.move_list = move_list if move_list is not None else MoveList()
         self.fine_grained = fine_grained
         self.stats = TransferStats()
-        # GPU block lists handed to in-flight swap-outs: no longer owned
-        # by a request, not yet returned to the allocator.  The invariant
-        # checker sums these when reconciling GPU-cache occupancy.
-        self.inflight_sources: list[list[KvBlock]] = []
+        # GPU holdings handed to in-flight swap-outs: no longer owned by
+        # a request, not yet returned to the allocator.  The invariant
+        # checker counts these when reconciling GPU-cache occupancy.
+        self.inflight_sources: list[KvBlocks] = []
         self.kv_in = CudaStream(env, name=f"{name}.kv_in", obs=obs)
         self.kv_out = CudaStream(env, name=f"{name}.kv_out", obs=obs)
         self._daemon_interval = daemon_interval
@@ -205,7 +205,7 @@ class KvTransferManager:
         """Drop a finished request's GPU KV."""
         if kv.gpu_blocks:
             self.gpu_cache.free(kv.gpu_blocks)
-            kv.gpu_blocks = []
+            kv.gpu_blocks = None
         if kv.location == "gpu":
             kv.location = "none"
 
@@ -222,7 +222,7 @@ class KvTransferManager:
         """
         if kv.gpu_blocks:
             self.gpu_cache.free(kv.gpu_blocks)
-            kv.gpu_blocks = []
+            kv.gpu_blocks = None
         if kv.cpu_blocks:
             if kv.last_transfer is not None and not kv.last_transfer.query():
                 # Defer to the transfer's completion (rule ❸ discipline).
@@ -230,7 +230,7 @@ class KvTransferManager:
                 self._kick_daemon()
             else:
                 self.cpu_cache.free(kv.cpu_blocks)
-            kv.cpu_blocks = []
+            kv.cpu_blocks = None
         kv.location = "none"
         self.stats.charge_control(1)
 
@@ -257,7 +257,7 @@ class KvTransferManager:
             self.stats.charge_control(1)
         event = CudaEvent(self.env, name=f"out.r{kv.request_id}")
         gpu_blocks = kv.gpu_blocks
-        kv.gpu_blocks = []
+        kv.gpu_blocks = None
         self.inflight_sources.append(gpu_blocks)
 
         def release_source() -> None:
@@ -299,7 +299,7 @@ class KvTransferManager:
             self.stats.charge_control(1)
         event = CudaEvent(self.env, name=f"in.r{kv.request_id}")
         cpu_blocks = kv.cpu_blocks
-        kv.cpu_blocks = []
+        kv.cpu_blocks = None
         self.kv_in.copy(self.link.h2d, kv.nbytes)
         self.kv_in.record(event)
         # Rule ❸: source CPU blocks stay unavailable until the copy is done.

@@ -31,7 +31,7 @@ serving system and the fleet pump accept either.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 

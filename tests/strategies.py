@@ -87,14 +87,15 @@ def slab_operations(
 ) -> st.SearchStrategy:
     """Sequences of ``(action, shape_id, block_count)`` slab-allocator ops.
 
-    ``action`` is ``"alloc"`` or ``"free"``; ``shape_id`` indexes one of
-    ``shapes`` distinct KV shapes; ``block_count`` is how many blocks
-    the op touches.  Drives interleaved multi-shape churn against a
+    ``action`` is ``"alloc"``, ``"grow"`` (extend a live holding) or
+    ``"free"``; ``shape_id`` indexes one of ``shapes`` distinct KV
+    shapes; ``block_count`` is how many blocks the op touches.  Drives
+    interleaved multi-shape churn against a
     :class:`~repro.memory.SlabAllocator`.
     """
     return st.lists(
         st.tuples(
-            st.sampled_from(["alloc", "free"]),
+            st.sampled_from(["alloc", "grow", "free"]),
             st.integers(min_value=0, max_value=shapes - 1),
             st.integers(min_value=1, max_value=max_blocks),
         ),

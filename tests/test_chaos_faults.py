@@ -8,6 +8,8 @@ exclusion, and SLO accounting under the injected faults, not merely
 that it didn't crash.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,13 +17,17 @@ from repro.chaos import (
     FaultPlan,
     FetchFailure,
     InstanceFailure,
+    InvariantChecker,
     LatencySpike,
     LinkThrottle,
     TransferStall,
 )
 from repro.core import AegaeonConfig, SystemSpec, build_system
-from repro.models import market_mix
+from repro.hardware import pcie_pair
+from repro.memory import SlabAllocator
+from repro.models import get_model, kv_shape, market_mix
 from repro.sim import Environment
+from repro.transfer import KvTransferManager, RequestKv
 from repro.workload import sharegpt, materialize_trace
 
 from .strategies import fault_plans
@@ -210,3 +216,58 @@ class TestPlanValidation:
     def test_kind_counts(self):
         plan = FaultPlan.of(FetchFailure(at=1.0), FetchFailure(at=2.0), LatencySpike(at=3.0))
         assert plan.kind_counts() == {"FetchFailure": 2, "LatencySpike": 1}
+
+
+class TestKvConservationCheck:
+    """I1 reconciles holdings with each slab, not only in total."""
+
+    def checked_pair(self):
+        """Two requests' GPU KV on one engine: 7 blocks each at 8 per
+        slab, so the first sits on slab A and the second spans A and B."""
+        env = Environment()
+        MiB, GiB = 1024**2, 1024**3
+        manager = KvTransferManager(
+            env,
+            pcie_pair(env, bandwidth=32e9),
+            SlabAllocator(8 * GiB, 64 * MiB),
+            SlabAllocator(32 * GiB, 64 * MiB),
+        )
+        shape = kv_shape(get_model("Qwen-7B"))  # 8 MiB blocks at 16 tokens
+        requests = []
+        for request_id in range(2):
+            kv = RequestKv(request_id=request_id, shape=shape, tokens=100)
+            manager.alloc_gpu(kv)
+            requests.append(SimpleNamespace(
+                request_id=request_id, kv=kv, token_times=[],
+                output_tokens=1, arrival=0.0,
+            ))
+        engine = SimpleNamespace(gpu_kv_cache=manager.gpu_cache, kv=manager)
+        system = SimpleNamespace(
+            env=env,
+            engines=lambda: [engine],
+            proxy=SimpleNamespace(tracked_requests=lambda: requests),
+        )
+        first, second = (request.kv.gpu_blocks for request in requests)
+        assert first.runs == [second.runs[0], 7] and second.runs[1::2] == [1, 6]
+        return InvariantChecker(system), manager.gpu_cache, first, second
+
+    def test_consistent_holdings_pass(self):
+        checker, _, _, _ = self.checked_pair()
+        assert checker.check_now() == []
+
+    def test_free_applied_to_wrong_slab_flagged(self):
+        checker, cache, first, second = self.checked_pair()
+        slab_a, slab_b = second.runs[0], second.runs[2]
+        # One block released from B that the holders still place on A:
+        # the totals balance, the two slabs do not.
+        cache._slabs[slab_a].used_count -= 1
+        cache._slabs[slab_b].used_count += 1
+        violations = checker.check_now()
+        assert [v.invariant for v in violations] == ["kv-conservation"] * 2
+        assert all(cache.name in v.detail for v in violations)
+
+    def test_holding_run_on_wrong_slab_flagged(self):
+        checker, _, first, second = self.checked_pair()
+        first.runs[0] = second.runs[2]  # claims slab B, holds slab A
+        violations = checker.check_now()
+        assert [v.invariant for v in violations] == ["kv-conservation"] * 2
